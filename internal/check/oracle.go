@@ -55,12 +55,6 @@ func (o *Oracle) Expect(addr phys.Addr) []byte {
 	return make([]byte, phys.LineSize)
 }
 
-// Known reports whether the line was ever written through the oracle.
-func (o *Oracle) Known(addr phys.Addr) bool {
-	_, ok := o.lines[phys.LineAddr(addr)]
-	return ok
-}
-
 // Lines returns the set of written line addresses.
 func (o *Oracle) Lines() []phys.Addr {
 	out := make([]phys.Addr, 0, len(o.lines))

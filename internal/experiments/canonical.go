@@ -11,12 +11,11 @@ import "fmt"
 
 // CacheKeyVersion names the canonical key schema. It is the "v1" prefix
 // every key below carries, surfaced as a constant so the serving layer can
-// advertise it (GET /v1/version), the distributed protocol can refuse
-// mixed-version peers, and the durable result store can fold it into its
-// on-disk paths — a key-schema change then lands in a fresh directory
-// instead of aliasing stale entries. Bump it whenever the meaning of an
-// existing key changes (renamed sections, reinterpreted fields); purely
-// additive key components do not require a bump because they cannot alias.
+// advertise it (GET /v1/version) and a client that keeps responses can
+// tell when its stored keys stop meaning the same thing. Bump it whenever
+// the meaning of an existing key changes (renamed sections, reinterpreted
+// fields); purely additive key components do not require a bump because
+// they cannot alias.
 const CacheKeyVersion = "v1"
 
 // SectionKey is the canonical cache key for rendering the named section
@@ -33,17 +32,6 @@ func SectionKey(name string, reps int, seed int64, format string) string {
 // the stream itself, not the upload that carried it.
 func SectionKeyTrace(name string, reps int, seed int64, format string, traceHash uint64) string {
 	return fmt.Sprintf("%s|trace=%016x", SectionKey(name, reps, seed, format), traceHash)
-}
-
-// SectionKeyTopology is SectionKey for a run over a non-default fabric
-// topology: the topology's canonical key (fabric.Topology.CanonicalKey —
-// sorted, orientation-free, defaults normalized) joins the cache key
-// because the rendered bytes depend on the compiled fabric, and two
-// topologies that Build observationally identical fabrics must share an
-// entry while any parameter change must miss. The default topology is
-// deliberately NOT folded in, so pre-fabric cache entries stay valid.
-func SectionKeyTopology(name string, reps int, seed int64, format, topoKey string) string {
-	return fmt.Sprintf("%s|topo=%s", SectionKey(name, reps, seed, format), topoKey)
 }
 
 // ReportKey is the canonical cache key for the full paper-vs-measured

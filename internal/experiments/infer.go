@@ -175,11 +175,6 @@ func Infer(cfg InferConfig) []InferRow {
 	return collectRows[InferRow](runSerial(InferJobs(cfg)))
 }
 
-// InferCollect concatenates job results into rows in job order.
-func InferCollect(results []runner.Result) []InferRow {
-	return collectRows[InferRow](results)
-}
-
 // PrintInfer renders the rows.
 func PrintInfer(w io.Writer, rows []InferRow) {
 	var table [][]string

@@ -31,19 +31,15 @@ type Rig struct {
 	rng  *rand.Rand
 }
 
-// NewRig builds a rig with the given device personality (cxl.Type2 or
-// cxl.Type3). A smaller-than-real LLC keeps rig construction cheap;
-// capacity effects are not what the microbenchmarks measure.
-func NewRig(devType cxl.DeviceType) *Rig {
-	return NewRigSeeded(devType, SeedRig)
-}
-
-// NewRigSeeded is NewRig with an explicit seed for the rig's random
-// stream — the shared-nothing parallel runner derives one per job. The §V
-// microbenchmark measurements are seed-invariant (the access streams are
-// fixed permutations), so a derived seed never shifts the calibrated
-// numbers; the seed exists so that any future stochastic rig component
-// inherits per-job reproducibility for free.
+// NewRigSeeded builds a rig with the given device personality (cxl.Type2
+// or cxl.Type3) and an explicit seed for the rig's random stream — the
+// shared-nothing parallel runner derives one per job. A smaller-than-real
+// LLC keeps rig construction cheap; capacity effects are not what the
+// microbenchmarks measure. The §V microbenchmark measurements are
+// seed-invariant (the access streams are fixed permutations), so a derived
+// seed never shifts the calibrated numbers; the seed exists so that any
+// future stochastic rig component inherits per-job reproducibility for
+// free.
 //
 // Since the fabric layer landed, a rig is just the compiled 1×1 topology
 // preset: one host directly attached to one CXL device

@@ -69,7 +69,7 @@ type NodeSpec struct {
 	Kind NodeKind
 
 	// Host shape (Kind == Host): LLC geometry and core count.
-	// Zero values take the small-host defaults NewRig-scale sims use.
+	// Zero values take the small-host defaults NewRigSeeded-scale sims use.
 	LLCBytes, LLCWays, Cores int
 
 	// Switch shape (Kind == Switch): PortCredits bounds the transfers a

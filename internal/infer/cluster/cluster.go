@@ -199,8 +199,8 @@ type Metrics struct {
 	// arbitration stats.
 	Links []fabric.LinkStat
 	Ports []fabric.PortStat
-	// TopoKey is the compiled topology's canonical key — the piece the
-	// experiment cache key folds in.
+	// TopoKey is the compiled topology's canonical key, naming the
+	// fabric shape the run used.
 	TopoKey string
 	// Accesses counts simulated KV block accesses (the event measure for
 	// runner accounting).

@@ -25,34 +25,21 @@ type cached struct {
 
 func (c cached) cost() int64 { return int64(len(c.key) + len(c.body)) }
 
-// cacheStats is a point-in-time counter snapshot across both cache
-// tiers: the in-memory LRU (Hits/Misses/...) and, when a durable store is
-// configured, the on-disk tier (Disk*). A memory miss consults the disk
-// tier before running anything, so Misses counts lookups that left memory
-// and DiskHits the subset rescued from disk.
+// cacheStats is a point-in-time counter snapshot of the LRU.
 type cacheStats struct {
 	Hits      uint64 `json:"hits"`
 	Misses    uint64 `json:"misses"`
 	Evictions uint64 `json:"evictions"`
 	Entries   int    `json:"entries"`
 	Bytes     int64  `json:"bytes"`
-
-	DiskHits      uint64 `json:"disk_hits"`
-	DiskMisses    uint64 `json:"disk_misses"`
-	DiskPuts      uint64 `json:"disk_puts"`
-	DiskEvictions uint64 `json:"disk_evictions"`
-	DiskCorrupt   uint64 `json:"disk_corrupt"`
-	DiskEntries   int    `json:"disk_entries"`
-	DiskBytes     int64  `json:"disk_bytes"`
 }
 
-// hitRate is served-from-cache (either tier) over lookups, or 0 before
-// the first lookup. Without a disk tier this reduces to hits/(hits+misses).
+// hitRate is hits over lookups, or 0 before the first lookup.
 func (s cacheStats) hitRate() float64 {
 	if s.Hits+s.Misses == 0 {
 		return 0
 	}
-	return float64(s.Hits+s.DiskHits) / float64(s.Hits+s.Misses)
+	return float64(s.Hits) / float64(s.Hits+s.Misses)
 }
 
 // resultCache is the LRU store.

@@ -15,9 +15,7 @@ import (
 	"time"
 
 	cxl2sim "repro"
-	"repro/internal/dist"
 	"repro/internal/experiments"
-	"repro/internal/store"
 )
 
 func (s *Server) routes() {
@@ -28,9 +26,6 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("POST /v1/sections/{name}", s.handleSectionRun)
 	s.mux.HandleFunc("POST /v1/measure", s.handleMeasure)
 	s.mux.HandleFunc("GET /v1/report", s.handleReport)
-	if s.cfg.Coordinator != nil {
-		s.cfg.Coordinator.Routes(s.mux)
-	}
 }
 
 // httpError carries a specific status code out of a run function.
@@ -67,17 +62,6 @@ func (s *Server) runCached(w http.ResponseWriter, r *http.Request, key, label st
 		s.serveCached(w, resp, "hit-mem")
 		return
 	}
-	// Memory missed; the durable store may still have the bytes from a
-	// previous process (or a sibling replica on the same directory). A disk
-	// hit is promoted into memory so the next request is a hit-mem.
-	if s.store != nil {
-		if e, ok := s.store.Get(key); ok {
-			resp := cached{key: e.Key, body: e.Body, contentType: e.ContentType, status: e.Status}
-			s.cache.put(resp)
-			s.serveCached(w, resp, "hit-disk")
-			return
-		}
-	}
 	resp, err, leader := s.flight.do(key, r.Context().Done(), func() (cached, error) {
 		if err := s.queue.acquire(r.Context()); err != nil {
 			return cached{}, err
@@ -96,12 +80,6 @@ func (s *Server) runCached(w http.ResponseWriter, r *http.Request, key, label st
 			resp.status = http.StatusOK
 		}
 		s.cache.put(resp)
-		if s.store != nil {
-			_ = s.store.Put(store.Entry{
-				Key: resp.key, Body: resp.body,
-				ContentType: resp.contentType, Status: resp.status,
-			})
-		}
 		return resp, nil
 	})
 	if err != nil {
@@ -166,7 +144,7 @@ type healthzResponse struct {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	cs := s.cacheSnapshot()
+	cs := s.cache.snapshot()
 	resp := healthzResponse{
 		Status:       "ok",
 		QueueDepth:   s.queue.depth(),
@@ -184,19 +162,13 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	s.metrics.write(w, s.queue, s.cacheSnapshot(), s.store != nil,
-		s.flight.waiters(), s.cfg.Coordinator, s.draining.Load())
+	s.metrics.write(w, s.queue, s.cache.snapshot(), s.flight.waiters(), s.draining.Load())
 }
 
-// handleVersion reports the binary's build and compatibility info: the
-// canonical cache-key schema and the dist protocol token a mixed-version
-// fleet is refused by.
+// handleVersion reports the binary's build info and the canonical
+// cache-key schema its responses are keyed under.
 func (s *Server) handleVersion(w http.ResponseWriter, r *http.Request) {
-	mode := "standalone"
-	if s.cfg.Coordinator != nil {
-		mode = "coordinator"
-	}
-	writeJSON(w, http.StatusOK, dist.Build(mode))
+	writeJSON(w, http.StatusOK, currentBuild())
 }
 
 // ---- GET /v1/sections ------------------------------------------------
@@ -291,9 +263,10 @@ func (s *Server) handleSectionRun(w http.ResponseWriter, r *http.Request) {
 		sec = cxl2sim.InferSectionTrace(req.Reps, t)
 		key = cxl2sim.SectionTraceKey(name, req.Reps, req.Seed, req.Format, t)
 	}
-	spec := dist.Spec{Kind: "section", Section: name, Reps: req.Reps, TraceB64: req.Trace}
 	s.runCached(w, r, key, "section/"+name, func(ctx context.Context) (cached, error) {
-		results := s.runJobs(ctx, spec, sec.Jobs, req.Seed)
+		results := cxl2sim.RunJobs(sec.Jobs, cxl2sim.JobOptions{
+			Workers: s.cfg.Workers, RootSeed: req.Seed, Context: ctx,
+		})
 		if err := s.checkRun(ctx, results); err != nil {
 			return cached{}, err
 		}
@@ -399,16 +372,6 @@ type measureRequest struct {
 	Config measureConfig `json:"config"`
 }
 
-// The op and placement vocabularies live in the root package (names.go)
-// so the service, the dist workers and the CLI parse the §V names
-// identically — a distributed measure job must build the same job ID on
-// every process.
-var (
-	d2hOps     = cxl2sim.D2HOpNames
-	hostOps    = cxl2sim.HostOpNames
-	placements = cxl2sim.PlacementNames
-)
-
 type measureResponse struct {
 	Kind         string  `json:"kind"`
 	Op           string  `json:"op"`
@@ -429,7 +392,7 @@ func (s *Server) handleMeasure(w http.ResponseWriter, r *http.Request) {
 	if req.Place == "" {
 		req.Place = "cold"
 	}
-	place, ok := placements[req.Place]
+	place, ok := cxl2sim.PlacementNames[req.Place]
 	if !ok {
 		writeError(w, http.StatusBadRequest, "unknown place %q (cold, LLC-1, HMC-1, DMC-1)", req.Place)
 		return
@@ -452,7 +415,7 @@ func (s *Server) handleMeasure(w http.ResponseWriter, r *http.Request) {
 	var job cxl2sim.Job
 	switch req.Kind {
 	case "d2h", "d2d":
-		op, ok := d2hOps[req.Op]
+		op, ok := cxl2sim.D2HOpNames[req.Op]
 		if !ok {
 			writeError(w, http.StatusBadRequest, "unknown %s op %q (NC-P, NC-rd, NC-wr, CO-rd, CO-wr, CS-rd)", req.Kind, req.Op)
 			return
@@ -463,7 +426,7 @@ func (s *Server) handleMeasure(w http.ResponseWriter, r *http.Request) {
 			job = cxl2sim.MeasureD2DJob(id, cfg, op, spec)
 		}
 	case "h2d":
-		op, ok := hostOps[req.Op]
+		op, ok := cxl2sim.HostOpNames[req.Op]
 		if !ok {
 			writeError(w, http.StatusBadRequest, "unknown h2d op %q (ld, nt-ld, st, nt-st)", req.Op)
 			return
@@ -476,14 +439,10 @@ func (s *Server) handleMeasure(w http.ResponseWriter, r *http.Request) {
 
 	key := fmt.Sprintf("v1/measure|%s|%s|%s|reps=%d|burst=%d|seed=%d|%s",
 		req.Kind, req.Op, req.Place, req.Reps, req.Burst, req.Seed, cfg.CanonicalKey())
-	dspec := dist.Spec{Kind: "measure", Measure: &dist.MeasureParams{
-		MeasureKind: req.Kind, Op: req.Op, Place: req.Place,
-		Reps: req.Reps, Burst: req.Burst,
-		DeviceType: int(cfg.DeviceType), LLCBytes: cfg.LLCBytes,
-		LLCWays: cfg.LLCWays, Cores: cfg.Cores, SNC: cfg.SNC,
-	}}
 	s.runCached(w, r, key, "measure", func(ctx context.Context) (cached, error) {
-		results := s.runJobs(ctx, dspec, []cxl2sim.Job{job}, req.Seed)
+		results := cxl2sim.RunJobs([]cxl2sim.Job{job}, cxl2sim.JobOptions{
+			Workers: s.cfg.Workers, RootSeed: req.Seed, Context: ctx,
+		})
 		if err := s.checkRun(ctx, results); err != nil {
 			if results[0].Err != nil && !results[0].Panicked && !results[0].Cancelled {
 				// A plain job error on this endpoint is a bad measurement
@@ -561,12 +520,10 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 
 	key := experiments.ReportKey(reps, full, seed)
 	opts := cxl2sim.ReportOptions{Reps: reps, Full: full}
-	spec := dist.Spec{Kind: "report", Reps: reps, Full: full}
 	s.runCached(w, r, key, "report", func(ctx context.Context) (cached, error) {
-		// Enumeration and rendering stay local; only execution is
-		// distributable. The job list a worker re-derives from the spec is
-		// identical to this one, so results merge back by index.
-		results := s.runJobs(ctx, spec, cxl2sim.ReportJobs(opts), seed)
+		results := cxl2sim.RunJobs(cxl2sim.ReportJobs(opts), cxl2sim.JobOptions{
+			Workers: s.cfg.Workers, RootSeed: seed, Context: ctx,
+		})
 		if cerr := s.checkRun(ctx, results); cerr != nil {
 			return cached{}, cerr
 		}

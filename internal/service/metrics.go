@@ -9,7 +9,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/dist"
 	"repro/internal/runner"
 )
 
@@ -110,10 +109,9 @@ func (m *metrics) observeJobs(results []runner.Result) {
 	m.mu.Unlock()
 }
 
-// write renders the exposition text. queue/cache/store/fleet state is
+// write renders the exposition text. Queue, cache and coalescing state is
 // read at scrape time so gauges are always current.
-func (m *metrics) write(w io.Writer, q *queue, cs cacheStats, hasStore bool,
-	flightWaiters int, coord *dist.Coordinator, draining bool) {
+func (m *metrics) write(w io.Writer, q *queue, cs cacheStats, flightWaiters int, draining bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 
@@ -135,31 +133,8 @@ func (m *metrics) write(w io.Writer, q *queue, cs cacheStats, hasStore bool,
 	g("cxlsimd_cache_evictions_total", "Result-cache LRU evictions.", cs.Evictions)
 	g("cxlsimd_cache_entries", "Result-cache resident entries.", cs.Entries)
 	g("cxlsimd_cache_bytes", "Result-cache resident bytes.", cs.Bytes)
-	g("cxlsimd_cache_hit_rate", "Served-from-cache (either tier) over lookups since start.",
+	g("cxlsimd_cache_hit_rate", "Result-cache hits over lookups since start.",
 		fmt.Sprintf("%.4f", cs.hitRate()))
-	if hasStore {
-		g("cxlsimd_store_hits_total", "Durable-store hits (memory misses rescued from disk).",
-			cs.DiskHits)
-		g("cxlsimd_store_misses_total", "Durable-store misses.", cs.DiskMisses)
-		g("cxlsimd_store_puts_total", "Entries written to the durable store.", cs.DiskPuts)
-		g("cxlsimd_store_evictions_total", "Durable-store GC evictions.", cs.DiskEvictions)
-		g("cxlsimd_store_corrupt_total", "Durable-store entries dropped as corrupt or colliding.",
-			cs.DiskCorrupt)
-		g("cxlsimd_store_entries", "Durable-store resident entries.", cs.DiskEntries)
-		g("cxlsimd_store_bytes", "Durable-store resident bytes.", cs.DiskBytes)
-	}
-	if coord != nil {
-		dm := coord.Snapshot()
-		g("cxlsimd_dist_workers_live", "Registered dist workers currently usable.", dm.WorkersLive)
-		g("cxlsimd_dist_workers_dead", "Registered dist workers presumed dead or stale.", dm.WorkersDead)
-		g("cxlsimd_dist_chunks_dispatched_total", "Job chunks sent to workers.", dm.ChunksDispatched)
-		g("cxlsimd_dist_chunks_reassigned_total", "Job chunks requeued after a worker failure.",
-			dm.ChunksReassigned)
-		g("cxlsimd_dist_remote_jobs_total", "Jobs executed on remote workers.", dm.RemoteJobs)
-		g("cxlsimd_dist_local_fallbacks_total", "Runs (or partial runs) executed locally for lack of workers.",
-			dm.LocalFallbacks)
-	}
-
 	g("cxlsimd_run_wall_ewma_seconds", "EWMA of run wall time (Retry-After basis).",
 		fmt.Sprintf("%.6f", m.runEWMA))
 	g("cxlsimd_sim_events_total", "Simulated events across all served jobs.", m.simEvents)

@@ -26,13 +26,11 @@ import (
 	"net/http"
 	"os"
 	"runtime"
+	"runtime/debug"
 	"sync/atomic"
 	"time"
 
-	cxl2sim "repro"
-	"repro/internal/dist"
 	"repro/internal/experiments"
-	"repro/internal/store"
 )
 
 // Config shapes a Server. Zero values take the noted defaults.
@@ -59,18 +57,6 @@ type Config struct {
 	// (default 0: each endpoint keeps its CLI default — 1000 for
 	// sections and measurements, 400 for the report).
 	DefaultReps int
-	// StoreDir, when set, layers a content-addressed durable result store
-	// under the in-memory cache: rendered responses survive restarts and
-	// are shared between replicas pointing at the same directory. Empty
-	// keeps the cache memory-only.
-	StoreDir string
-	// StoreBytes bounds the durable store (default 256 MiB); GC evicts
-	// least-recently-accessed entries beyond it.
-	StoreBytes int64
-	// Coordinator, when set, runs simulations across its registered dist
-	// workers instead of in-process, and mounts the /dist/v1 control
-	// endpoints. Byte output is identical either way.
-	Coordinator *dist.Coordinator
 	// Log receives request and lifecycle lines; nil logs to stderr.
 	Log *log.Logger
 }
@@ -108,7 +94,6 @@ type Server struct {
 	cfg      Config
 	queue    *queue
 	cache    *resultCache
-	store    *store.Store // nil when StoreDir is unset
 	flight   *flightGroup
 	metrics  *metrics
 	mux      *http.ServeMux
@@ -121,8 +106,8 @@ type Server struct {
 	cancelBase context.CancelFunc
 }
 
-// New builds a Server from cfg (zero values take defaults). It fails only
-// when a configured durable store directory cannot be prepared.
+// New builds a Server from cfg (zero values take defaults). No
+// configuration is rejected today, so the error is always nil.
 func New(cfg Config) (*Server, error) {
 	cfg.setDefaults()
 	s := &Server{
@@ -132,19 +117,6 @@ func New(cfg Config) (*Server, error) {
 		flight:  newFlightGroup(),
 		metrics: newMetrics(),
 		mux:     http.NewServeMux(),
-	}
-	if cfg.StoreDir != "" {
-		// The canonical key version joins the on-disk path, so entries
-		// written under an older key schema can never alias a new one.
-		st, err := store.Open(store.Config{
-			Dir:        cfg.StoreDir,
-			MaxBytes:   cfg.StoreBytes,
-			KeyVersion: experiments.CacheKeyVersion,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("service: durable store: %w", err)
-		}
-		s.store = st
 	}
 	s.base, s.cancelBase = context.WithCancel(context.Background())
 	s.routes()
@@ -156,40 +128,30 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// MustNew is New for callers with a known-good config (tests, examples);
-// it panics on error.
-func MustNew(cfg Config) *Server {
-	s, err := New(cfg)
-	if err != nil {
-		panic(err)
-	}
-	return s
+// BuildInfo describes the running binary for GET /v1/version: the
+// toolchain, the VCS revision it was built from, and the canonical
+// cache-key schema its responses are keyed under.
+type BuildInfo struct {
+	GoVersion       string `json:"go_version"`
+	Revision        string `json:"revision,omitempty"`
+	Modified        bool   `json:"modified,omitempty"`
+	CacheKeyVersion string `json:"cache_key_version"`
 }
 
-// runJobs is the execution seam every endpoint goes through: in-process
-// via the runner by default, across the dist worker fleet when a
-// coordinator is configured. Both paths derive per-job seeds from
-// (rootSeed, job ID) and merge results in submission order, so the
-// rendered bytes — and therefore the cache keys — are identical.
-func (s *Server) runJobs(ctx context.Context, spec dist.Spec, jobs []cxl2sim.Job, rootSeed int64) []cxl2sim.JobResult {
-	if s.cfg.Coordinator != nil {
-		return s.cfg.Coordinator.Run(ctx, spec, jobs, cxl2sim.JobOptions{RootSeed: rootSeed, Context: ctx})
+// currentBuild returns the running binary's BuildInfo.
+func currentBuild() BuildInfo {
+	info := BuildInfo{GoVersion: runtime.Version(), CacheKeyVersion: experiments.CacheKeyVersion}
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			switch s.Key {
+			case "vcs.revision":
+				info.Revision = s.Value
+			case "vcs.modified":
+				info.Modified = s.Value == "true"
+			}
+		}
 	}
-	return cxl2sim.RunJobs(jobs, cxl2sim.JobOptions{
-		Workers: s.cfg.Workers, RootSeed: rootSeed, Context: ctx,
-	})
-}
-
-// cacheSnapshot merges both cache tiers into one stats view.
-func (s *Server) cacheSnapshot() cacheStats {
-	cs := s.cache.snapshot()
-	if s.store != nil {
-		ds := s.store.Snapshot()
-		cs.DiskHits, cs.DiskMisses, cs.DiskPuts = ds.Hits, ds.Misses, ds.Puts
-		cs.DiskEvictions, cs.DiskCorrupt = ds.Evictions, ds.Corrupt
-		cs.DiskEntries, cs.DiskBytes = ds.Entries, ds.Bytes
-	}
-	return cs
+	return info
 }
 
 // Handler returns the full handler tree (request accounting included) —

@@ -45,10 +45,8 @@ func WriteReport(w io.Writer, reps int, full bool) error {
 }
 
 // reportGroup is one named slice of the report's job list. The
-// enumeration is a pure function of the options, so any process holding
-// the same binary derives the identical list — the property the
-// distributed coordinator relies on to ship the report's execution to
-// worker processes by description rather than by value.
+// enumeration is a pure function of the options, so RenderReport can
+// pair results with groups by index whoever ran the jobs.
 type reportGroup struct {
 	name string
 	jobs []runner.Job
