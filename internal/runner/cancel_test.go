@@ -46,8 +46,9 @@ func TestSerialCancellation(t *testing.T) {
 
 // TestParallelCancellation: cancelling mid-run lets in-flight jobs finish,
 // skips undispatched ones, and keeps result slots aligned to submission
-// order. The first job cancels the run itself, so by the time its worker
-// asks for more work the dispatcher has observed the cancellation.
+// order. The first job cancels the run itself and every other job waits for
+// that cancellation before returning, so the second worker cannot drain the
+// queue first: at most jobs 0, 1 and the one send already in flight run.
 func TestParallelCancellation(t *testing.T) {
 	const n = 24
 	ctx, cancel := context.WithCancel(context.Background())
@@ -58,14 +59,16 @@ func TestParallelCancellation(t *testing.T) {
 		jobs[i] = Job{ID: fmt.Sprintf("pc/job%d", i), Run: func(*Ctx) (any, error) {
 			if i == 0 {
 				cancel()
+			} else {
+				<-ctx.Done()
 			}
 			return i, nil
 		}}
 	}
 	results := Run(jobs, Options{Workers: 2, Context: ctx})
 	cancelled := CancelledCount(results)
-	if cancelled == 0 {
-		t.Fatalf("expected some cancelled jobs out of %d", n)
+	if cancelled < n-3 {
+		t.Fatalf("CancelledCount = %d, want at least %d of %d", cancelled, n-3, n)
 	}
 	for i, r := range results {
 		if r.ID != jobs[i].ID || r.Index != i {
