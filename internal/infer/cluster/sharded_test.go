@@ -1,24 +1,79 @@
 package cluster
 
 import (
-	"runtime"
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 )
 
-// shardMatrix is the worker-count sweep every byte-identity test runs:
-// inline (the exact sequential schedule), two workers, and one worker
-// per shard up to GOMAXPROCS.
-func shardMatrix() []int {
-	ws := []int{1, 2}
-	if p := runtime.GOMAXPROCS(0); p > 2 {
-		ws = append(ws, p)
+var updateGolden = flag.Bool("update", false, "rewrite testdata/cluster.golden instead of comparing")
+
+// clusterGolden holds render(Run(cfg)) for every pinned config, one
+// "== name" section each. Regenerate after an intentional model change
+// with:
+//
+//	go test ./internal/infer/cluster -run 'Sharded' -update
+var clusterGolden = filepath.Join("testdata", "cluster.golden")
+
+// readGolden splits the golden file into its named sections, in file
+// order.
+func readGolden(t *testing.T) (names []string, secs map[string]string) {
+	t.Helper()
+	secs = map[string]string{}
+	data, err := os.ReadFile(clusterGolden)
+	if err != nil {
+		if *updateGolden && os.IsNotExist(err) {
+			return nil, secs
+		}
+		t.Fatalf("%v (run with -update to create it)", err)
 	}
-	return ws
+	for _, sec := range strings.Split(string(data), "== ")[1:] {
+		name, body, _ := strings.Cut(sec, "\n")
+		names = append(names, name)
+		secs[name] = body
+	}
+	return names, secs
 }
 
-// TestShardedByteIdentity pins the tentpole contract: the rendered
-// metrics of a sharded run are byte-identical to the inline run at
-// every worker count, for each oversubscription regime and router.
+// checkGolden compares got with the golden section name, byte for byte,
+// or rewrites that section under -update.
+func checkGolden(t *testing.T, name, got string) {
+	t.Helper()
+	names, secs := readGolden(t)
+	if *updateGolden {
+		if _, ok := secs[name]; !ok {
+			names = append(names, name)
+		}
+		secs[name] = got
+		var b strings.Builder
+		for _, n := range names {
+			fmt.Fprintf(&b, "== %s\n%s", n, secs[n])
+		}
+		if err := os.MkdirAll(filepath.Dir(clusterGolden), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(clusterGolden, []byte(b.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, ok := secs[name]
+	if !ok {
+		t.Fatalf("%s has no section %q (run with -update to add it)", clusterGolden, name)
+	}
+	if got != want {
+		t.Fatalf("%s rendered differently from %s:\n--- golden ---\n%s--- got ---\n%s",
+			name, clusterGolden, want, got)
+	}
+}
+
+// TestShardedByteIdentity pins the rendered metrics of the partitioned
+// run for each oversubscription regime and router: cross-shard messages
+// merge by (timestamp, source shard, source sequence), so the bytes are
+// fixed by the Config alone.
 func TestShardedByteIdentity(t *testing.T) {
 	cases := []struct {
 		name string
@@ -36,30 +91,7 @@ func TestShardedByteIdentity(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			var want string
-			for _, w := range shardMatrix() {
-				cfg := tc.cfg
-				cfg.Shards = w
-				// Routers are stateful and single-use: fresh one per run.
-				switch tc.cfg.Router.(type) {
-				case nil:
-				case *sessionAffinity:
-					cfg.Router = NewSessionAffinity()
-				case leastLoaded:
-					cfg.Router = NewLeastLoaded()
-				default:
-					cfg.Router = nil
-				}
-				got := render(Run(cfg))
-				if w == 1 {
-					want = got
-					continue
-				}
-				if got != want {
-					t.Fatalf("Shards=%d rendered differently from inline:\n--- inline ---\n%s\n--- %d workers ---\n%s",
-						w, want, w, got)
-				}
-			}
+			checkGolden(t, tc.name, render(Run(tc.cfg)))
 		})
 	}
 }
@@ -67,31 +99,18 @@ func TestShardedByteIdentity(t *testing.T) {
 // TestShardedStressCrossShardOrdering hammers the cross-shard merge
 // path: a high arrival rate over a tiny shared pool makes every decode
 // step exchange admit/bundle/reply messages while many same-instant
-// fabric completions land at the hub. Several seeds, all worker counts,
-// all byte-identical.
+// fabric completions land at the hub. Several seeds, each pinned.
 func TestShardedStressCrossShardOrdering(t *testing.T) {
 	if testing.Short() {
 		t.Skip("stress sweep")
 	}
 	for _, seed := range []int64{1, 7, 23, 101} {
-		base := Config{
+		cfg := Config{
 			Seed: seed, Replicas: 4, Expanders: 2, Requests: 96,
 			RatePerSec: 1_000_000, LocalBlocks: 2, SharedBlocks: 16,
 			MaxBatch: 8,
 		}
-		var want string
-		for _, w := range shardMatrix() {
-			cfg := base
-			cfg.Shards = w
-			got := render(Run(cfg))
-			if w == 1 {
-				want = got
-				continue
-			}
-			if got != want {
-				t.Fatalf("seed %d Shards=%d diverged from inline", seed, w)
-			}
-		}
+		checkGolden(t, fmt.Sprintf("stress-seed%d", seed), render(Run(cfg)))
 	}
 }
 
