@@ -86,31 +86,6 @@ func BenchmarkCluster(b *testing.B) {
 	b.ReportMetric(float64(m.SwitchWaited().Microseconds()), "sw-wait-us")
 }
 
-// BenchmarkClusterSharded is BenchmarkCluster under sharded execution:
-// the same simulation partitioned into one engine per host plus a hub
-// shard, run with 4 workers. The metrics are byte-identical to the
-// inline run (pinned by the cluster test suite); what this benchmark
-// tracks is the wall-clock cost of the conservative-PDES machinery and
-// the parallel speedup where cores are available.
-func BenchmarkClusterSharded(b *testing.B) {
-	var m cluster.Metrics
-	for i := 0; i < b.N; i++ {
-		m = cluster.Run(cluster.Config{
-			Seed:         7,
-			Replicas:     4,
-			Requests:     48,
-			RatePerSec:   400_000,
-			LocalBlocks:  4,
-			SharedBlocks: 24,
-			Shards:       4,
-			Router:       cluster.NewRoundRobin(), // routers are single-use
-		})
-	}
-	b.ReportMetric(m.TPOT.Mean()*1000, "TPOT-ns")
-	b.ReportMetric(m.Goodput/1000, "goodput-ktoks")
-	b.ReportMetric(float64(m.SwitchWaited().Microseconds()), "sw-wait-us")
-}
-
 func BenchmarkFig4(b *testing.B) {
 	var rows []experiments.Fig4Row
 	for i := 0; i < b.N; i++ {

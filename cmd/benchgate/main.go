@@ -6,7 +6,10 @@
 // geomean allocs/op ratio (over benchmarks that report allocations on
 // both sides) regresses by more than -alloc-threshold percent —
 // separate gates, so an allocation regression cannot hide behind a
-// wall-clock win on a noisy runner and vice versa.
+// wall-clock win on a noisy runner and vice versa. It also fails when
+// the input and the baseline do not cover the same benchmarks: one
+// that is new (no baseline entry) or gone (baseline entry missing from
+// the input) would otherwise drop out of the gate unnoticed.
 //
 // The committed baseline has two forms, written together by -update:
 // the JSON this tool gates against, and the raw `go test -bench` text
@@ -110,8 +113,9 @@ func run() int {
 }
 
 // gate prints a per-benchmark delta table and returns the exit code:
-// non-zero when the geomean ns/op ratio exceeds thresholdPct, or the
-// geomean allocs/op ratio exceeds allocThresholdPct. The allocs gate
+// non-zero when any benchmark is new or gone, when the geomean ns/op
+// ratio exceeds thresholdPct, or when the geomean allocs/op ratio
+// exceeds allocThresholdPct. The allocs gate
 // only considers benchmarks where both sides report a positive
 // allocs/op (zero-alloc and pre-benchmem baseline records carry no
 // signal about allocation behavior).
@@ -121,12 +125,14 @@ func gate(w io.Writer, base *Baseline, cur []Record, thresholdPct, allocThreshol
 		baseBy[r.Name] = r
 	}
 	var logSum, logSumAlloc float64
-	var shared, sharedAlloc int
+	var shared, sharedAlloc, unmatched int
 	fmt.Fprintf(w, "%-40s %14s %14s %8s %10s\n", "benchmark", "base ns/op", "cur ns/op", "delta", "allocs Δ")
 	for _, c := range cur {
 		b, ok := baseBy[c.Name]
+		delete(baseBy, c.Name)
 		if !ok || b.NsPerOp <= 0 || c.NsPerOp <= 0 {
 			fmt.Fprintf(w, "%-40s %14s %14.1f %8s\n", c.Name, "-", c.NsPerOp, "new")
+			unmatched++
 			continue
 		}
 		ratio := c.NsPerOp / b.NsPerOp
@@ -140,16 +146,25 @@ func gate(w io.Writer, base *Baseline, cur []Record, thresholdPct, allocThreshol
 			allocCol = fmt.Sprintf("%+.1f%%", 100*(ar-1))
 		}
 		fmt.Fprintf(w, "%-40s %14.1f %14.1f %+7.1f%% %10s\n", c.Name, b.NsPerOp, c.NsPerOp, 100*(ratio-1), allocCol)
-		delete(baseBy, c.Name)
 	}
+	gone := make([]string, 0, len(baseBy))
 	for name := range baseBy {
+		gone = append(gone, name)
+	}
+	sort.Strings(gone)
+	for _, name := range gone {
 		fmt.Fprintf(w, "%-40s %14.1f %14s %8s\n", name, baseBy[name].NsPerOp, "-", "gone")
+		unmatched++
 	}
 	if shared == 0 {
 		fmt.Fprintln(w, "benchgate: FAIL: no benchmarks shared with the baseline")
 		return 1
 	}
 	code := 0
+	if unmatched > 0 {
+		fmt.Fprintf(w, "benchgate: FAIL: %d benchmarks new or gone; input and baseline must match (re-baseline with -update)\n", unmatched)
+		code = 1
+	}
 	geomeanPct := 100 * (math.Exp(logSum/float64(shared)) - 1)
 	fmt.Fprintf(w, "geomean over %d shared benchmarks: %+.1f%% (threshold +%.0f%%)\n", shared, geomeanPct, thresholdPct)
 	if geomeanPct > thresholdPct {

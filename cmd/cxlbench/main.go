@@ -40,7 +40,6 @@ func main() { os.Exit(run()) }
 func run() int {
 	reps := flag.Int("reps", 1000, "repetitions per measurement (the paper uses >= 1000)")
 	parallel := flag.Int("parallel", 0, "worker-pool size (0 = GOMAXPROCS)")
-	shards := flag.Int("shards", 0, "workers per cluster simulation for sharded PDES execution (0/1 = inline; output is byte-identical at any value)")
 	serial := flag.Bool("serial", false, "run on a single worker (same as -parallel 1)")
 	seed := flag.Int64("seed", cxl2sim.DefaultRootSeed, "root seed for per-job seed derivation")
 	noStats := flag.Bool("no-stats", false, "suppress the per-job stats table on stderr")
@@ -128,7 +127,7 @@ func run() int {
 		return 0
 	}
 
-	secs := cxl2sim.ExperimentSectionsSharded(*reps, *shards)
+	secs := cxl2sim.ExperimentSections(*reps)
 	if which != "all" {
 		sec, ok := cxl2sim.ExperimentSectionByName(secs, which)
 		if !ok {

@@ -99,25 +99,10 @@ func section[T any](name string, jobs []runner.Job, print func(io.Writer, []T)) 
 	}
 }
 
-// SuiteConfig tunes cross-section execution knobs of the assembled
-// suite. Everything here is output-neutral: rows are byte-identical at
-// every setting, so none of it joins section cache keys.
-type SuiteConfig struct {
-	// ClusterShards caps the worker count for sharded PDES execution of
-	// each cluster simulation (0 or 1 runs inline); workers are
-	// recruited from the runner pool (see ClusterConfig.Shards).
-	ClusterShards int
-}
-
 // Sections returns the cxlbench experiment sections in presentation
 // order. reps tunes the repetition count of the experiments that take one
 // (0 keeps the paper's defaults).
 func Sections(reps int) []Section {
-	return SectionsCfg(reps, SuiteConfig{})
-}
-
-// SectionsCfg is Sections with suite-level execution knobs.
-func SectionsCfg(reps int, suite SuiteConfig) []Section {
 	f3 := Fig3Config{Reps: reps}
 	f4 := Fig4Config{Reps: reps}
 	f5 := Fig5Config{Reps: reps}
@@ -130,7 +115,7 @@ func SectionsCfg(reps int, suite SuiteConfig) []Section {
 		section("wqsweep", WriteQueueSweepJobs(nil), PrintWriteQueueSweep),
 		section("infer", InferJobs(InferConfig{Reps: reps}), PrintInfer),
 		section("workload", WorkloadJobs(WorkloadConfig{Reps: reps}), PrintWorkload),
-		section("cluster", ClusterJobs(ClusterConfig{Reps: reps, Shards: suite.ClusterShards}), PrintCluster),
+		section("cluster", ClusterJobs(ClusterConfig{Reps: reps}), PrintCluster),
 	}
 }
 

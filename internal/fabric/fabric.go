@@ -153,26 +153,6 @@ type Fabric struct {
 	paths     map[[2]string][]pathHop
 
 	hostIDs, expanderIDs []string
-
-	shards *ShardSet
-}
-
-// Option tunes Build beyond topology and timing.
-type Option func(*buildOptions)
-
-type buildOptions struct {
-	shardWorkers int
-}
-
-// Shards enables sharded conservative-PDES execution with up to n worker
-// goroutines (n <= 0 is treated as 1; execution is inline on the calling
-// goroutine at 1). The topology is partitioned structurally — every host
-// becomes its own shard, the switch fabric and expanders form the hub
-// shard, and zero-latency links force co-residency — and ShardSet
-// exposes the per-shard engines and deterministic cross-shard messaging.
-// Whatever n, a run renders byte-identical output (see ShardSet).
-func Shards(n int) Option {
-	return func(o *buildOptions) { o.shardWorkers = n }
 }
 
 // Build validates topo and compiles it into a Fabric under the timing
@@ -181,11 +161,7 @@ func Shards(n int) Option {
 // single-rig experiments always measured); host–switch, switch–switch
 // and switch–expander links compile to fabric links with the LinkSpec's
 // (defaulted) parameters.
-func Build(topo Topology, p *timing.Params, opts ...Option) (*Fabric, error) {
-	var bo buildOptions
-	for _, o := range opts {
-		o(&bo)
-	}
+func Build(topo Topology, p *timing.Params) (*Fabric, error) {
 	if err := topo.Validate(); err != nil {
 		return nil, err
 	}
@@ -273,28 +249,17 @@ func Build(topo Topology, p *timing.Params, opts ...Option) (*Fabric, error) {
 			}
 		}
 	}
-	if bo.shardWorkers > 0 {
-		ss, err := newShardSet(f, bo.shardWorkers)
-		if err != nil {
-			return nil, err
-		}
-		f.shards = ss
-	}
 	return f, nil
 }
 
 // MustBuild is Build for static topologies.
-func MustBuild(topo Topology, p *timing.Params, opts ...Option) *Fabric {
-	f, err := Build(topo, p, opts...)
+func MustBuild(topo Topology, p *timing.Params) *Fabric {
+	f, err := Build(topo, p)
 	if err != nil {
 		panic(err)
 	}
 	return f
 }
-
-// ShardSet returns the sharded-execution state, or nil when the fabric
-// was built without the Shards option.
-func (f *Fabric) ShardSet() *ShardSet { return f.shards }
 
 // attach wires a directly-linked CXL device onto its host.
 func (f *Fabric) attach(hostID, devID string, kind NodeKind) error {

@@ -196,6 +196,12 @@ func TestStarTransferAccounting(t *testing.T) {
 // surface the determinism and conservation properties quantify over.
 func randomSchedule(seed int64, ops int) (render string, f *Fabric) {
 	f = MustBuild(star(3, 2), nil)
+	return scheduleOn(f, seed, ops), f
+}
+
+// scheduleOn drives randomSchedule's transfer sequence on a fabric
+// already built from star(3, 2).
+func scheduleOn(f *Fabric, seed int64, ops int) string {
 	r := rng.New(seed)
 	hosts, exps := f.Hosts(), f.Expanders()
 	var b strings.Builder
@@ -221,7 +227,7 @@ func randomSchedule(seed int64, ops int) (render string, f *Fabric) {
 		fmt.Fprintf(&b, "port %s %s claims=%d peak=%d waited=%d\n",
 			s.Switch, s.Link, s.Claims, s.PeakQueue, int64(s.Waited))
 	}
-	return b.String(), f
+	return b.String()
 }
 
 // TestBytesConserved is the conservation property: everything the hosts

@@ -2,117 +2,58 @@ package fabric
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/sim"
 )
 
-// Conservative parallel discrete-event simulation (PDES) over the
-// fabric graph. The topology is partitioned structurally: every host
-// node is its own shard (together with any directly attached device,
-// which rides the host's home agent and shares its engine), and the
-// switch fabric plus all switch-attached expanders form the hub shard.
-// Each shard owns a private sim.Engine; shards interact only through
-// typed messages that cross a fabric link, and every fabric link has a
+// A sequential multi-engine schedule over a partition of the fabric
+// graph. The topology is partitioned structurally: every host node is
+// its own shard (together with any directly attached device, which
+// rides the host's home agent and shares its engine), and the switch
+// fabric plus all switch-attached expanders form the hub shard. Each
+// shard owns a private sim.Engine; shards interact only through typed
+// messages that cross a fabric link, and every fabric link has a
 // nonzero one-way propagation latency (LinkSpec normalization
-// substitutes the calibrated CXL latency for zero), so the lookahead
-// that makes conservative execution safe is structural, not heuristic.
-// A zero-latency link would force its endpoints into one shard; since
-// normalization makes that unexpressible, Build rejects the case
-// outright rather than silently merging.
+// substitutes the calibrated CXL latency for zero). A zero-latency link
+// would force its endpoints into one shard; since normalization makes
+// that unexpressible, Partition rejects the case outright rather than
+// silently merging.
 //
-// # Safety
+// # Schedule
 //
-// Shard r may execute events strictly before
+// Run always picks the shard r with the earliest pending event N_r and
+// lets it execute every event strictly before
 //
-//	W_r = min( min_{j≠r}( eff_j + dist(j,r) ),  mp_r,  N_r + rt_r )
+//	W_r = min( N_r + rt_r,  min_{j≠r}( N_j + dist(j,r) ) )
 //
-// where eff_j = min(N_j, mp_j): N_j is shard j's published activation
-// (next pending event time) and mp_j the minimum delivery time over
-// unprocessed messages sitting in j's mailboxes — a peer's pending
-// input bounds what it can still emit exactly like its pending events
-// do. dist is the all-pairs shortest-path metric over link one-way
-// latencies; mp_r (distance zero) keeps r from outrunning its own
-// inbound mail; and rt_r = min_k(dist(r,k)+dist(k,r)) bounds echoes of
-// the sends r itself is about to make this window, which no mailbox or
-// activation can reflect yet.
-//
-// Every future message into r is the tail of a causal chain, and at any
-// wall-clock instant the chain's earliest unprocessed stage is visible
-// somewhere: still unemitted inside a sender mid-window (whose
-// published N is its pre-window value — Send's emission times can't
-// precede it), queued in a mailbox (mp), or drained into an engine
-// (drain lowers the published N before clearing mp, so the protection
-// never gaps). windowFor reads in an order that rides that baton: every
-// activation once, then the mailboxes, then the activations again —
-// with sequentially consistent atomics, whichever stage the chain
-// occupies when the reads happen, one read catches it, and each hop to
-// r adds at least dist of slack. Stale values only err low, which only
-// shrinks windows. The strict `<` bound (sim.RunWindow) covers exact
-// equality.
+// dist is the all-pairs shortest-path metric over link one-way
+// latencies, and rt_r = min_k(dist(r,k)+dist(k,r)) bounds echoes of the
+// sends r itself makes inside the window. No message can reach r before
+// W_r, so batching a whole window is exact, not an approximation. Send
+// delivers a message straight into the destination engine.
 //
 // # Determinism
 //
-// Window placement depends on scheduling, so the same events can be
-// delivered into a shard's engine at different wall-clock moments on
-// different runs. Dispatch order still cannot vary: every event carries
-// a (when, srcShard<<SourceShift|srcSeq) key — locals tagged by their
-// own engine (sim.SetSourceID), messages tagged by the sender at send
-// time (Shard.Send) — and the engine heap dispatches in key order. Any
-// safe window schedule therefore dispatches each engine's events in one
-// fixed sequence, making a sharded run byte-identical to the inline
-// single-goroutine run, whatever the worker count.
+// Every event carries a (when, srcShard<<SourceShift|srcSeq) key —
+// locals tagged by their own engine (sim.SetSourceID), messages tagged
+// by the sender at send time (Shard.Send) — and each engine's heap
+// dispatches in key order, so same-instant events from different shards
+// merge in a fixed order.
+//
+// Shards run sequentially on purpose: parallel workers under the same
+// windows measured 2.2× slower on the cluster benchmark (4 workers over
+// 5 shards, 2 vCPU; DESIGN.md §8).
 
-// shardMsg is one cross-shard event in flight.
-type shardMsg struct {
-	when sim.Time
-	key  uint64
-	fn   func(any)
-	arg  any
-}
-
-// mailbox is a single-producer single-consumer queue from one source
-// shard into one destination shard. hasMail lets the receiver skip the
-// lock on the (overwhelmingly common) empty poll; spare recycles the
-// drained backing array so steady-state messaging does not allocate.
-type mailbox struct {
-	hasMail atomic.Bool
-	// minPending is the earliest delivery time among queued messages
-	// (Forever when empty): the channel clock peers fold into their
-	// window bound so in-flight mail is never outrun. Updated under mu,
-	// read lock-free by windowFor.
-	minPending atomic.Int64
-	mu         sync.Mutex
-	q          []shardMsg
-	spare      []shardMsg
-}
-
-// Shard is one partition of the fabric simulation: a private engine, the
-// nodes that live on it, and inboxes from every peer shard.
+// Shard is one partition of the fabric simulation: a private engine and
+// the nodes that live on it.
 type Shard struct {
 	set   *ShardSet
 	id    int
 	eng   *sim.Engine
 	nodes []string
-	inbox []mailbox // indexed by source shard; inbox[id] unused
 	// out is the per-sender message sequence, the srcSeq half of the
-	// deterministic merge key. It advances only inside this shard's own
-	// event processing, so it is as deterministic as the event order.
+	// deterministic merge key.
 	out uint64
-	// nextAt is the shard's published activation time N (int64 of
-	// sim.Time): the earliest instant it could dispatch an event absent
-	// new messages. Peers fold it into their window bound.
-	nextAt atomic.Int64
-	// idle mirrors "engine drained" for termination detection. drain
-	// clears it before acknowledging a delivery (inflight decrement), so
-	// a scanner that reads inflight==0 cannot also read a stale idle=true
-	// for a shard that just received work.
-	idle atomic.Bool
-	// preAct is windowFor's per-shard scratch for the first activation
-	// read pass (only this shard's worker touches it).
-	preAct []sim.Time
 }
 
 // ID returns the shard's index within its ShardSet.
@@ -126,8 +67,7 @@ func (s *Shard) Engine() *sim.Engine { return s.eng }
 func (s *Shard) Nodes() []string { return s.nodes }
 
 // Send delivers fn(arg) into shard dst at when plus the inter-shard
-// link distance, carrying this shard's (id, seq) merge key so the
-// receiver dispatches it in a schedule-independent position. It must be
+// link distance, carrying this shard's (id, seq) merge key. It must be
 // called from within this shard's own event processing (or before the
 // run starts), and `when` — the modeled emission time — must not
 // precede the shard's clock. Sending to the own shard is a plain local
@@ -140,118 +80,22 @@ func (s *Shard) Send(dst int, when sim.Time, fn func(any), arg any) {
 		s.eng.AtCall(when, fn, arg)
 		return
 	}
-	set := s.set
-	deliver := satAdd(when, set.dist[s.id][dst])
 	s.out++
-	m := shardMsg{when: deliver, key: uint64(s.id)<<sim.SourceShift | s.out, fn: fn, arg: arg}
-	set.inflight.Add(1)
-	b := &set.shards[dst].inbox[s.id]
-	b.mu.Lock()
-	b.q = append(b.q, m)
-	if int64(deliver) < b.minPending.Load() {
-		b.minPending.Store(int64(deliver))
-	}
-	b.mu.Unlock()
-	b.hasMail.Store(true)
+	set := s.set
+	set.shards[dst].eng.AtCallTagged(satAdd(when, set.dist[s.id][dst]),
+		uint64(s.id)<<sim.SourceShift|s.out, fn, arg)
 }
 
-// Dist returns the minimum cross-shard latency from src to dst — the
-// message delivery distance Send applies.
-func (ss *ShardSet) Dist(src, dst int) sim.Time { return ss.dist[src][dst] }
-
-// drain moves every queued inbound message into the engine, keyed so the
-// heap merges it deterministically. Reports whether anything arrived.
-func (s *Shard) drain() bool {
-	any := false
-	for i := range s.inbox {
-		b := &s.inbox[i]
-		// Load before Store: the empty poll is the common case by far and
-		// a read keeps the cache line shared instead of bouncing it.
-		if !b.hasMail.Load() {
-			continue
-		}
-		b.hasMail.Store(false)
-		b.mu.Lock()
-		msgs := b.q
-		b.q = b.spare[:0]
-		if len(msgs) == 0 {
-			b.mu.Unlock()
-			b.spare = msgs
-			continue
-		}
-		lo := sim.Forever
-		for _, m := range msgs {
-			s.eng.AtCallTagged(m.when, m.key, m.fn, m.arg)
-			if m.when < lo {
-				lo = m.when
-			}
-		}
-		// Hand the messages' window protection from the mailbox to the
-		// published activation before clearing the channel clock: a peer
-		// that misses minPending then reads nextAt after it, and one of
-		// the two always carries the bound.
-		if cur := s.nextAt.Load(); int64(lo) < cur {
-			s.nextAt.Store(int64(lo))
-		}
-		b.minPending.Store(int64(sim.Forever))
-		b.mu.Unlock()
-		any = true
-		// Order matters for termination detection: mark the shard busy
-		// before the messages stop counting as in flight.
-		s.idle.Store(false)
-		s.set.inflight.Add(-int64(len(msgs)))
-		for j := range msgs {
-			msgs[j] = shardMsg{} // drop fn/arg references
-		}
-		b.spare = msgs[:0]
-	}
-	return any
-}
-
-// step runs one scheduling round: drain inbound messages, execute the
-// window the peers' published activations allow, publish our own.
-// Reports whether any work was done.
-func (s *Shard) step() bool {
-	progressed := s.drain()
-	next := s.eng.NextEventAt()
-	if next < sim.Forever {
-		if w := s.set.windowFor(s.id, next); next < w {
-			s.eng.RunWindow(w)
-			progressed = true
-			next = s.eng.NextEventAt()
-		}
-	}
-	if next == sim.Forever {
-		s.idle.Store(true)
-	}
-	// Publish after any sends from the window above are enqueued: a peer
-	// that reads the new activation must be able to see the messages it
-	// promises (both stores are sequentially consistent atomics).
-	s.nextAt.Store(int64(next))
-	return progressed
-}
-
-// ShardSet is the sharded execution of one fabric simulation.
+// ShardSet is the partitioned execution of one fabric simulation.
 type ShardSet struct {
-	f       *Fabric
-	workers int
-	shards  []*Shard
-	byNode  map[string]int
-	dist    [][]sim.Time
-	rt      []sim.Time // cheapest self round trip per shard
-
-	inflight atomic.Int64
-	done     atomic.Bool
-	failMu   sync.Mutex
-	failVal  any
-	failed   bool
+	shards []*Shard
+	byNode map[string]int
+	dist   [][]sim.Time
+	rt     []sim.Time // cheapest self round trip per shard
 }
 
 // NumShards reports the shard count of the partition.
 func (ss *ShardSet) NumShards() int { return len(ss.shards) }
-
-// Workers reports the worker-goroutine budget given to Shards().
-func (ss *ShardSet) Workers() int { return ss.workers }
 
 // Shard returns shard i.
 func (ss *ShardSet) Shard(i int) *Shard { return ss.shards[i] }
@@ -265,9 +109,15 @@ func (ss *ShardSet) NodeShard(id string) int {
 	return s
 }
 
-// newShardSet partitions the compiled fabric.
-func newShardSet(f *Fabric, workers int) (*ShardSet, error) {
-	ss := &ShardSet{f: f, workers: workers, byNode: map[string]int{}}
+// Dist returns the minimum cross-shard latency from src to dst — the
+// message delivery distance Send applies.
+func (ss *ShardSet) Dist(src, dst int) sim.Time { return ss.dist[src][dst] }
+
+// Partition splits the compiled fabric into shards. The hub shard takes
+// over the fabric's own engine, so call it once, before any event is
+// scheduled on that engine.
+func (f *Fabric) Partition() (*ShardSet, error) {
+	ss := &ShardSet{byNode: map[string]int{}}
 
 	// Hub shard first (switches and their expanders), if the topology has
 	// one; then one shard per host in declaration order. Directly
@@ -288,13 +138,13 @@ func newShardSet(f *Fabric, workers int) (*ShardSet, error) {
 			hubNodes = append(hubNodes, l.A)
 		}
 	}
-	addShard := func(eng *sim.Engine, nodes []string) *Shard {
+	addShard := func(eng *sim.Engine, nodes []string) {
 		s := &Shard{set: ss, id: len(ss.shards), eng: eng, nodes: nodes}
 		for _, id := range nodes {
 			ss.byNode[id] = s.id
 		}
+		eng.SetSourceID(s.id)
 		ss.shards = append(ss.shards, s)
-		return s
 	}
 	if len(hubNodes) > 0 {
 		// The hub owns the fabric's original engine: links, ports and
@@ -317,14 +167,6 @@ func newShardSet(f *Fabric, workers int) (*ShardSet, error) {
 		} else {
 			addShard(sim.NewEngine(), nodes)
 		}
-	}
-	for i, s := range ss.shards {
-		s.eng.SetSourceID(i)
-		s.inbox = make([]mailbox, len(ss.shards))
-		for j := range s.inbox {
-			s.inbox[j].minPending.Store(int64(sim.Forever))
-		}
-		s.preAct = make([]sim.Time, len(ss.shards))
 	}
 
 	n := len(ss.shards)
@@ -382,179 +224,40 @@ func newShardSet(f *Fabric, workers int) (*ShardSet, error) {
 	return ss, nil
 }
 
-// windowFor computes the conservative execution bound for shard dst
-// whose own next pending event is at selfNext. The read order is load
-// bearing (see the Safety note): all published activations first, then
-// each peer's mailboxes, then its activation again — a message's
-// protection moves activation→mailbox→activation as it is emitted,
-// queued and drained, and this order catches it at every stage.
-func (ss *ShardSet) windowFor(dst int, selfNext sim.Time) sim.Time {
-	shards := ss.shards
-	self := shards[dst]
-	pre := self.preAct
-	for j, s := range shards {
-		pre[j] = sim.Time(s.nextAt.Load())
-	}
-	w := satAdd(selfNext, ss.rt[dst])
-	// Mail already bound for dst needs no distance: it delivers here.
-	for i := range self.inbox {
-		if mp := sim.Time(self.inbox[i].minPending.Load()); mp < w {
-			w = mp
-		}
-	}
-	for j, s := range shards {
-		if j == dst {
+// windowFor computes the exclusive execution bound W_r for shard r
+// (see the schedule note at the top of the file).
+func (ss *ShardSet) windowFor(r int) sim.Time {
+	w := satAdd(ss.shards[r].eng.NextEventAt(), ss.rt[r])
+	for j, s := range ss.shards {
+		if j == r {
 			continue
 		}
-		eff := pre[j]
-		for i := range s.inbox {
-			if mp := sim.Time(s.inbox[i].minPending.Load()); mp < eff {
-				eff = mp
-			}
-		}
-		if a := sim.Time(s.nextAt.Load()); a < eff {
-			eff = a
-		}
-		if v := satAdd(eff, ss.dist[j][dst]); v < w {
+		if v := satAdd(s.eng.NextEventAt(), ss.dist[j][r]); v < w {
 			w = v
 		}
 	}
 	return w
 }
 
-// Run executes every shard to quiescence with up to `workers` OS
-// goroutines (clamped to the shard count; <=1 runs inline on the
-// calling goroutine). Rendered output is byte-identical whatever the
-// worker count — see the determinism note at the top of the file. A
-// panic inside any shard's event processing is re-raised on the caller.
-func (ss *ShardSet) Run(workers int) {
-	if ss.done.Load() {
-		panic("fabric: ShardSet.Run called twice")
-	}
-	if workers > len(ss.shards) {
-		workers = len(ss.shards)
-	}
-	if workers <= 1 {
-		ss.runInline()
-		ss.done.Store(true)
-		return
-	}
-	ss.runParallel(workers)
-	ss.done.Store(true)
-	if ss.failed {
-		panic(ss.failVal)
-	}
-}
-
-// runInline is the exact sequential schedule: always run the globally
-// earliest pending timestamp. It needs no window arithmetic — it IS the
-// single-engine order, just spread over per-shard heaps.
-func (ss *ShardSet) runInline() {
-	// Inline execution keeps every shard's published activation exact:
-	// publish after each window, and drain (which lowers the receiver's
-	// activation on delivery) after every batch of sends. windowFor then
-	// sees the same picture a fully synchronized parallel run would.
-	for _, s := range ss.shards {
-		s.drain()
-		s.nextAt.Store(int64(s.eng.NextEventAt()))
-	}
+// Run executes every shard to quiescence on the calling goroutine: it
+// repeatedly runs the shard holding the globally earliest event up to
+// that shard's window. A panic inside any event propagates to the
+// caller.
+func (ss *ShardSet) Run() {
 	for {
-		best := -1
-		bt := sim.Forever
-		for _, s := range ss.shards {
-			if t := sim.Time(s.nextAt.Load()); t < bt {
-				bt = t
-				best = s.id
+		best, bt := -1, sim.Forever
+		for i, s := range ss.shards {
+			if t := s.eng.NextEventAt(); t < bt {
+				best, bt = i, t
 			}
 		}
 		if best < 0 {
 			return
 		}
-		// Run the picked shard as far as its conservative window allows
-		// (at minimum the one timestamp batch at bt): peers are idle, so
-		// the window is exact, and batching amortizes the drain/scan loop
-		// over every event the shard can safely absorb.
-		w := ss.windowFor(best, bt)
-		if w <= bt {
-			w = bt + 1
-		}
-		s := ss.shards[best]
-		s.eng.RunWindow(w)
-		s.nextAt.Store(int64(s.eng.NextEventAt()))
-		for _, p := range ss.shards {
-			p.drain()
-		}
+		// Every cross-shard distance is positive (Partition enforces
+		// it), so the window always admits the events at bt.
+		ss.shards[best].eng.RunWindow(ss.windowFor(best))
 	}
-}
-
-func (ss *ShardSet) runParallel(workers int) {
-	var wg sync.WaitGroup
-	for k := 0; k < workers; k++ {
-		var mine []*Shard
-		for i := k; i < len(ss.shards); i += workers {
-			mine = append(mine, ss.shards[i])
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					ss.fail(r)
-				}
-			}()
-			for !ss.done.Load() {
-				progressed := false
-				for _, s := range mine {
-					if s.step() {
-						progressed = true
-					}
-				}
-				if !progressed {
-					if ss.checkDone() {
-						return
-					}
-					runtime.Gosched()
-				}
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-// fail records the first shard panic and stops every worker.
-func (ss *ShardSet) fail(r any) {
-	ss.failMu.Lock()
-	if !ss.failed {
-		ss.failed = true
-		ss.failVal = r
-	}
-	ss.failMu.Unlock()
-	ss.done.Store(true)
-}
-
-// checkDone detects quiescence: every shard idle and no message in
-// flight. The double scan plus the ordering discipline in drain (busy
-// mark before inflight decrement) makes a false positive impossible:
-// any message unaccounted for at the first scan is either still in
-// flight (inflight > 0) or already inside an engine whose shard was
-// marked busy before the decrement became visible.
-func (ss *ShardSet) checkDone() bool {
-	scan := func() bool {
-		if ss.inflight.Load() != 0 {
-			return false
-		}
-		for _, s := range ss.shards {
-			if !s.idle.Load() {
-				return false
-			}
-		}
-		return true
-	}
-	if scan() && scan() {
-		ss.done.Store(true)
-		return true
-	}
-	return false
 }
 
 // satAdd adds two times, saturating at Forever.

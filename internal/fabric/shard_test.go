@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"testing"
 
@@ -14,17 +13,6 @@ import (
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/ping.golden instead of comparing")
-
-// workerMatrix is the worker-count sweep the byte-identity properties
-// run: inline (the reference sequential schedule), two workers, and
-// GOMAXPROCS when it is larger.
-func workerMatrix() []int {
-	ws := []int{1, 2}
-	if p := runtime.GOMAXPROCS(0); p > 2 {
-		ws = append(ws, p)
-	}
-	return ws
-}
 
 // TestShardPartitionGenericTopology pins the structural partitioner on
 // a topology that exercises every placement rule at once: switches and
@@ -48,8 +36,10 @@ func TestShardPartitionGenericTopology(t *testing.T) {
 			{A: "h1", B: "x1"},
 		},
 	}
-	f := MustBuild(topo, nil, Shards(1))
-	ss := f.ShardSet()
+	ss, err := MustBuild(topo, nil).Partition()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if got := ss.NumShards(); got != 3 {
 		t.Fatalf("NumShards = %d, want 3 (hub + 2 hosts)", got)
 	}
@@ -94,9 +84,11 @@ func TestShardPartitionGenericTopology(t *testing.T) {
 // payload-chosen peer at the minimum admissible distance plus a small
 // payload-derived jitter — echo chains at the lookahead bound, the
 // worst case for the conservative window protocol.
-func runPingSchedule(workers int, seed int64, pings, hops int) string {
-	f := MustBuild(star(3, 2), nil, Shards(workers))
-	ss := f.ShardSet()
+func runPingSchedule(seed int64, pings, hops int) string {
+	ss, err := MustBuild(star(3, 2), nil).Partition()
+	if err != nil {
+		panic(err)
+	}
 	n := ss.NumShards()
 
 	type ping struct {
@@ -132,7 +124,7 @@ func runPingSchedule(workers int, seed int64, pings, hops int) string {
 			hops:  hops,
 		})
 	}
-	ss.Run(workers)
+	ss.Run()
 	var b strings.Builder
 	for _, l := range logs {
 		b.WriteString(l.String())
@@ -152,7 +144,7 @@ var pingGolden = filepath.Join("testdata", "ping.golden")
 func TestShardedMessageByteIdentity(t *testing.T) {
 	var b strings.Builder
 	for _, seed := range []int64{3, 17, 88} {
-		got := runPingSchedule(1, seed, 24, 12)
+		got := runPingSchedule(seed, 24, 12)
 		if got == "" {
 			t.Fatalf("seed %d produced no deliveries", seed)
 		}
@@ -176,42 +168,19 @@ func TestShardedMessageByteIdentity(t *testing.T) {
 	}
 }
 
-// TestShardedTransferByteIdentity re-runs the existing random
-// ReadShared/WriteShared schedule property on a sharded build: the
+// TestShardedTransferByteIdentity re-runs the random
+// ReadShared/WriteShared schedule property on a partitioned build: the
 // transfers all execute on the hub shard, so the render must be
-// byte-identical to the unsharded fabric's whatever the worker count.
+// byte-identical to the unpartitioned fabric's.
 func TestShardedTransferByteIdentity(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		want, _ := randomSchedule(seed, 200)
-		for _, w := range workerMatrix() {
-			f := MustBuild(star(3, 2), nil, Shards(w))
-			r := rng.New(seed)
-			hosts, exps := f.Hosts(), f.Expanders()
-			var b strings.Builder
-			now := sim.Time(0)
-			for i := 0; i < 200; i++ {
-				now += sim.Time(r.Intn(200)) * sim.Nanosecond
-				h := hosts[r.Intn(len(hosts))]
-				x := exps[r.Intn(len(exps))]
-				n := (1 + r.Intn(64)) * 64
-				if r.Intn(3) == 0 {
-					done := f.WriteShared(h, x, n, now)
-					fmt.Fprintf(&b, "w %s %s %d @%d -> %d\n", h, x, n, now, done)
-				} else {
-					done := f.ReadShared(h, x, n, now)
-					fmt.Fprintf(&b, "r %s %s %d @%d -> %d\n", h, x, n, now, done)
-				}
-			}
-			for _, s := range f.LinkStats() {
-				fmt.Fprintf(&b, "link %s %d %d\n", s.Link, s.ABytes, s.BABytes)
-			}
-			for _, s := range f.PortStats() {
-				fmt.Fprintf(&b, "port %s %s claims=%d peak=%d waited=%d\n",
-					s.Switch, s.Link, s.Claims, s.PeakQueue, int64(s.Waited))
-			}
-			if b.String() != want {
-				t.Fatalf("seed %d Shards(%d): transfer render differs from unsharded build", seed, w)
-			}
+		f := MustBuild(star(3, 2), nil)
+		if _, err := f.Partition(); err != nil {
+			t.Fatal(err)
+		}
+		if got := scheduleOn(f, seed, 200); got != want {
+			t.Fatalf("seed %d: transfer render differs from unpartitioned build", seed)
 		}
 	}
 }

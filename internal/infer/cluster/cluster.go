@@ -9,12 +9,12 @@
 // the fabric — so switch-port arbitration and expander bandwidth show up
 // directly in TTFT/TPOT when the shared pool is oversubscribed.
 //
-// The simulation executes on the fabric's conservative-PDES shard
-// partition (fabric.ShardSet): the switch hub and the shared expanders
-// form one shard that owns routing, admission, the block pools and every
-// fabric transfer, and each replica host is its own shard running the
-// batching loop and local-DRAM compute. The two sides interact only
-// through typed cross-shard messages:
+// The simulation executes on the fabric's shard partition
+// (fabric.ShardSet): the switch hub and the shared expanders form one
+// shard that owns routing, admission, the block pools and every fabric
+// transfer, and each replica host is its own shard running the batching
+// loop and local-DRAM compute. The two sides interact only through typed
+// cross-shard messages:
 //
 //	admit  (hub → replica)  a request with its KV blocks pre-assigned
 //	bundle (replica → hub)  one batching step's shared-memory work
@@ -28,11 +28,11 @@
 // with compute and gives each shard a full link latency of lookahead.
 //
 // The whole simulation is seeded (internal/rng derived streams) and
-// replays byte-identical metrics for a fixed Config at ANY worker count,
-// including Shards: 1 (inline): cross-shard messages merge by
-// (timestamp, source shard, source sequence), so the event order never
-// depends on scheduling. The `cluster` experiment section leans on that
-// to render identically in serial, parallel and sharded suite runs.
+// replays byte-identical metrics for a fixed Config: cross-shard
+// messages merge by (timestamp, source shard, source sequence), so the
+// event order is fixed by the Config alone. The `cluster` experiment
+// section leans on that to render identically in serial and parallel
+// suite runs.
 package cluster
 
 import (
@@ -93,20 +93,6 @@ type Config struct {
 	PortCredits int
 	// Model is the per-token compute profile (shared with infer).
 	Model infer.ModelProfile
-
-	// Shards is the worker-goroutine budget for the sharded execution.
-	// The model always partitions into one engine per replica host plus
-	// the hub; Shards only picks how many OS workers drive them (0 and 1
-	// both run inline on the caller). Metrics are byte-identical at
-	// every value, so this is a pure speed knob and stays out of cache
-	// and canonical keys.
-	Shards int
-	// Recruit, when non-nil and Shards > 1, borrows up to n extra
-	// worker slots from an external pool (the experiment runner's
-	// parallelism budget) and returns how many it got plus a release.
-	// The run proceeds with 1+got workers so shard workers and suite
-	// workers never oversubscribe the machine together.
-	Recruit func(n int) (got int, release func())
 }
 
 // withDefaults fills zero fields with a small 2-replica setup whose
@@ -368,10 +354,14 @@ func New(cfg Config) *Cluster {
 	c := &Cluster{
 		cfg:        cfg,
 		p:          p,
-		f:          fabric.MustBuild(cfg.Topology(), p, fabric.Shards(1)),
+		f:          fabric.MustBuild(cfg.Topology(), p),
 		blockBytes: cfg.BlockTokens * cfg.BytesPerToken,
 	}
-	c.ss = c.f.ShardSet()
+	ss, err := c.f.Partition()
+	if err != nil {
+		panic(err)
+	}
+	c.ss = ss
 	c.expIDs = c.f.Expanders()
 	c.hubShard = c.ss.NodeShard(c.expIDs[0])
 	c.hub = c.ss.Shard(c.hubShard)
@@ -408,8 +398,7 @@ func New(cfg Config) *Cluster {
 }
 
 // Run executes the cluster simulation to completion. Deterministic in
-// Config — including across Shards values, which only change wall-clock
-// speed.
+// Config.
 func Run(cfg Config) Metrics {
 	c := New(cfg)
 	c.run()
@@ -462,19 +451,7 @@ func (c *Cluster) run() {
 	for _, q := range reqs {
 		eng.AtCall(q.arrival, c.arrivalFn, q)
 	}
-	workers := c.cfg.Shards
-	if workers < 1 {
-		workers = 1
-	}
-	if n := c.ss.NumShards(); workers > n {
-		workers = n
-	}
-	if workers > 1 && c.cfg.Recruit != nil {
-		got, release := c.cfg.Recruit(workers - 1)
-		defer release()
-		workers = 1 + got
-	}
-	c.ss.Run(workers)
+	c.ss.Run()
 	c.finalize(reqs)
 }
 

@@ -180,9 +180,9 @@ func (e *Engine) Now() Time { return e.now }
 // becomes id<<SourceShift | localSeq, and events injected from another
 // engine via AtCallTagged carry that engine's id in their key. Two
 // events at the same timestamp therefore dispatch in (sourceID,
-// perSourceSeq) order no matter when the injected one arrived — the
-// property that makes sharded execution byte-identical to inline
-// execution. Call it once, before any event is scheduled.
+// perSourceSeq) order no matter when the injected one arrived, which
+// fixes the merge order of a multi-engine schedule (fabric.ShardSet).
+// Call it once, before any event is scheduled.
 func (e *Engine) SetSourceID(id int) {
 	if id < 0 || id >= 1<<16 {
 		panic(fmt.Sprintf("sim: source id %d out of range", id))
@@ -364,9 +364,9 @@ func (e *Engine) RunUntil(deadline Time) Time {
 }
 
 // NextEventAt reports the timestamp of the earliest pending event, or
-// Forever when the queue is empty. Conservative parallel execution
-// uses it as the engine's published activation time: the engine cannot
-// originate any new work before this instant.
+// Forever when the queue is empty. A multi-engine schedule uses it as
+// the engine's activation time: the engine cannot originate any new
+// work before this instant.
 func (e *Engine) NextEventAt() Time {
 	if len(e.events) == 0 {
 		return Forever
@@ -376,9 +376,9 @@ func (e *Engine) NextEventAt() Time {
 
 // RunWindow dispatches events with timestamps strictly before `until`,
 // advancing the clock to each event's time, and returns the final
-// simulated time. The strict bound is what makes it a safe conservative
-// PDES window: a peer engine whose earliest future send arrives exactly
-// at `until` cannot be overtaken, because the event at `until` has not
+// simulated time. The strict bound is what makes it a safe lookahead
+// window: a peer engine whose earliest future send arrives exactly at
+// `until` cannot be overtaken, because the event at `until` has not
 // run yet. Like RunUntil, the clock is left at the last dispatched
 // event, never advanced to the window edge.
 func (e *Engine) RunWindow(until Time) Time {

@@ -56,8 +56,7 @@ func TestRunWindowSameInstantScheduling(t *testing.T) {
 // TestSourceTaggedMergeOrder pins the cross-engine merge contract: at an
 // equal timestamp, events dispatch by (sourceID, perSourceSeq) regardless
 // of the order they were inserted into the receiving engine. This is the
-// property that makes sharded execution independent of message arrival
-// timing.
+// property that fixes the merge order of a multi-engine schedule.
 func TestSourceTaggedMergeOrder(t *testing.T) {
 	e := NewEngine()
 	e.SetSourceID(2)

@@ -71,13 +71,6 @@ type ExperimentSection = experiments.Section
 // tunes the repetition count (0 keeps the paper's defaults).
 func ExperimentSections(reps int) []ExperimentSection { return experiments.Sections(reps) }
 
-// ExperimentSectionsSharded is ExperimentSections with sharded PDES
-// execution of the cluster section capped at shards workers per
-// simulation (0 or 1 runs inline; output is byte-identical either way).
-func ExperimentSectionsSharded(reps, shards int) []ExperimentSection {
-	return experiments.SectionsCfg(reps, experiments.SuiteConfig{ClusterShards: shards})
-}
-
 // ExperimentSectionNames lists the registered section names in
 // presentation order — the single source for usage text and validation,
 // so command help can never drift from the registry.
