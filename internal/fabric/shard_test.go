@@ -83,7 +83,7 @@ func TestShardPartitionGenericTopology(t *testing.T) {
 // handler logs (shard, time, payload state) and forwards the ping to a
 // payload-chosen peer at the minimum admissible distance plus a small
 // payload-derived jitter — echo chains at the lookahead bound, the
-// worst case for the conservative window protocol.
+// worst case for the window schedule.
 func runPingSchedule(seed int64, pings, hops int) string {
 	ss, err := MustBuild(star(3, 2), nil).Partition()
 	if err != nil {
@@ -151,9 +151,6 @@ func TestShardedMessageByteIdentity(t *testing.T) {
 		fmt.Fprintf(&b, "== seed %d\n%s", seed, got)
 	}
 	if *updateGolden {
-		if err := os.MkdirAll(filepath.Dir(pingGolden), 0o755); err != nil {
-			t.Fatal(err)
-		}
 		if err := os.WriteFile(pingGolden, []byte(b.String()), 0o644); err != nil {
 			t.Fatal(err)
 		}

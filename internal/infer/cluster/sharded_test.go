@@ -52,9 +52,6 @@ func checkGolden(t *testing.T, name, got string) {
 		for _, n := range names {
 			fmt.Fprintf(&b, "== %s\n%s", n, secs[n])
 		}
-		if err := os.MkdirAll(filepath.Dir(clusterGolden), 0o755); err != nil {
-			t.Fatal(err)
-		}
 		if err := os.WriteFile(clusterGolden, []byte(b.String()), 0o644); err != nil {
 			t.Fatal(err)
 		}
