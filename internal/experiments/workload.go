@@ -149,11 +149,19 @@ func cohortRows(mix *workload.Mix, seed int64, n int) []WorkloadRow {
 		prompt, decode int
 	}
 	accs := make([]acc, mix.Len())
+	// Each cohort's shape Zipfs are built once, outside the sample loop:
+	// NewZipf sums ζ over up to n terms and consumes no randomness.
+	pzs := make([]*workload.Zipf, mix.Len())
+	dzs := make([]*workload.Zipf, mix.Len())
+	for c := range pzs {
+		co := mix.Cohort(c)
+		pzs[c] = workload.NewZipf(uint64(co.PromptMax-co.PromptMin+1), 0.99)
+		dzs[c] = workload.NewZipf(uint64(co.DecodeMax-co.DecodeMin+1), 0.99)
+	}
 	for i := 0; i < n; i++ {
 		c := mix.Pick(r)
 		co := mix.Cohort(c)
-		pz := workload.NewZipf(uint64(co.PromptMax-co.PromptMin+1), 0.99)
-		dz := workload.NewZipf(uint64(co.DecodeMax-co.DecodeMin+1), 0.99)
+		pz, dz := pzs[c], dzs[c]
 		accs[c].count++
 		accs[c].prompt += co.PromptMin + int(pz.Next(r)%pz.N())
 		accs[c].decode += co.DecodeMin + int(dz.Next(r)%dz.N())

@@ -1,6 +1,6 @@
 // Package mem models the memory substrate: sparse byte-accurate backing
-// stores, DRAM controllers with bounded posted-write queues, and the
-// system's physical address map.
+// stores held in page frames, DRAM controllers with bounded posted-write
+// queues, and the system's physical address map.
 //
 // The write-queue model reproduces the §V-A observation that 16 D2H writes
 // (1 KB) fit into the 8 controllers' 32-entry × 64 B write queues and
@@ -10,21 +10,50 @@ package mem
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/phys"
 	"repro/internal/sim"
 )
 
-// Store is a sparse, line-granular backing store holding real bytes.
-// Unwritten lines read as zero. Store is purely functional (no timing).
+// Store is a sparse, byte-accurate backing store. Unwritten bytes read as
+// zero. Store is purely functional (no timing).
+//
+// Memory is held in page frames: a pointer-free index maps each touched
+// page to a frame, and a frame keeps a 64-bit mask of the lines written
+// so far plus exactly those lines, packed in line order, so line i of a
+// page sits at slot popcount(written & (1<<i - 1)). A page the kernel
+// models move whole is one dense 4 KiB buffer that reads and writes in a
+// single copy, while a page touched at one line costs one line, not a
+// page. Frame buffers are carved from shared slabs rather than allocated
+// one by one.
 type Store struct {
-	name  string
-	lines map[phys.Addr][]byte
+	name   string
+	index  map[phys.Addr]int32 // page base -> position in frames
+	frames []frame
+	lines  int // distinct lines written
+	// lastPage/lastFrame cache the most recent index hit, so runs of
+	// accesses to one page skip the map; lastFrame is -1 when empty.
+	lastPage  phys.Addr
+	lastFrame int32
+	// slab is the unused tail of the chunk frame buffers are carved
+	// from, so that a line or page costs no heap object of its own.
+	slab []byte
 }
+
+// frame is one page's written lines, packed in line order.
+type frame struct {
+	written uint64
+	data    []byte // popcount(written) lines
+}
+
+// fullPage is the written mask of a page whose every line is stored; its
+// data is then the dense page.
+const fullPage = ^uint64(0)
 
 // NewStore returns an empty store.
 func NewStore(name string) *Store {
-	return &Store{name: name, lines: make(map[phys.Addr][]byte)}
+	return &Store{name: name, index: make(map[phys.Addr]int32), lastFrame: -1}
 }
 
 // Name returns the store's diagnostic name.
@@ -36,18 +65,22 @@ func (s *Store) ReadLine(addr phys.Addr, dst []byte) {
 	if len(dst) != phys.LineSize {
 		panic(fmt.Sprintf("mem: ReadLine dst %d bytes", len(dst)))
 	}
-	if l, ok := s.lines[phys.LineAddr(addr)]; ok {
+	if l := s.PeekLine(addr); l != nil {
 		copy(dst, l)
 	} else {
-		for i := range dst {
-			dst[i] = 0
-		}
+		clear(dst)
 	}
 }
 
-// PeekLine returns the stored line or nil if never written (zero line).
+// PeekLine returns the stored line, or nil if it was never written (a zero
+// line). The slice aliases the store: it is valid until the next write
+// into the same page.
 func (s *Store) PeekLine(addr phys.Addr) []byte {
-	return s.lines[phys.LineAddr(addr)]
+	f := s.frame(phys.PageAddr(addr))
+	if f == nil {
+		return nil
+	}
+	return s.line(f, lineIndex(addr))
 }
 
 // WriteLine stores the 64-byte line containing addr.
@@ -55,43 +88,154 @@ func (s *Store) WriteLine(addr phys.Addr, src []byte) {
 	if len(src) != phys.LineSize {
 		panic(fmt.Sprintf("mem: WriteLine src %d bytes", len(src)))
 	}
-	base := phys.LineAddr(addr)
-	l, ok := s.lines[base]
-	if !ok {
-		l = make([]byte, phys.LineSize)
-		s.lines[base] = l
-	}
-	copy(l, src)
+	copy(s.lineForWrite(s.frameForWrite(phys.PageAddr(addr)), lineIndex(addr)), src)
 }
 
-// Read copies n bytes starting at addr into dst; the range may span lines.
+// Read copies len(dst) bytes starting at addr into dst; the range may span
+// lines and pages.
 func (s *Store) Read(addr phys.Addr, dst []byte) {
-	var line [phys.LineSize]byte
-	for i := 0; i < len(dst); {
-		base := phys.LineAddr(addr + phys.Addr(i))
-		s.ReadLine(base, line[:])
-		off := int(addr+phys.Addr(i)) - int(base)
-		n := copy(dst[i:], line[off:])
-		i += n
+	for len(dst) > 0 {
+		page := phys.PageAddr(addr)
+		off := int(addr - page)
+		n := min(len(dst), phys.PageSize-off)
+		f := s.frame(page)
+		switch {
+		case f == nil:
+			clear(dst[:n])
+		case f.written == fullPage:
+			copy(dst[:n], f.data[off:])
+		default:
+			for i := 0; i < n; {
+				lo := phys.LineOffset(addr + phys.Addr(i))
+				m := min(n-i, phys.LineSize-lo)
+				if l := s.line(f, (off+i)/phys.LineSize); l != nil {
+					copy(dst[i:i+m], l[lo:])
+				} else {
+					clear(dst[i : i+m])
+				}
+				i += m
+			}
+		}
+		addr += phys.Addr(n)
+		dst = dst[n:]
 	}
 }
 
 // Write copies src into the store starting at addr; the range may span
-// lines.
+// lines and pages. Bytes of a partly covered line that were never written
+// stay zero.
 func (s *Store) Write(addr phys.Addr, src []byte) {
-	var line [phys.LineSize]byte
-	for i := 0; i < len(src); {
-		base := phys.LineAddr(addr + phys.Addr(i))
-		s.ReadLine(base, line[:]) // preserve surrounding bytes
-		off := int(addr+phys.Addr(i)) - int(base)
-		n := copy(line[off:], src[i:])
-		s.WriteLine(base, line[:])
-		i += n
+	for len(src) > 0 {
+		page := phys.PageAddr(addr)
+		off := int(addr - page)
+		n := min(len(src), phys.PageSize-off)
+		f := s.frameForWrite(page)
+		switch {
+		case n == phys.PageSize:
+			if f.written != fullPage {
+				s.lines += phys.LinesPerPage - bits.OnesCount64(f.written)
+				if cap(f.data) < phys.PageSize {
+					f.data = s.carve(phys.PageSize)
+				}
+				f.written, f.data = fullPage, f.data[:phys.PageSize]
+			}
+			copy(f.data, src)
+		case f.written == fullPage:
+			copy(f.data[off:], src[:n])
+		default:
+			for i := 0; i < n; {
+				lo := phys.LineOffset(addr + phys.Addr(i))
+				m := min(n-i, phys.LineSize-lo)
+				copy(s.lineForWrite(f, (off+i)/phys.LineSize)[lo:], src[i:i+m])
+				i += m
+			}
+		}
+		addr += phys.Addr(n)
+		src = src[n:]
 	}
 }
 
 // LinesWritten reports how many distinct lines have ever been written.
-func (s *Store) LinesWritten() int { return len(s.lines) }
+func (s *Store) LinesWritten() int { return s.lines }
+
+// lineIndex is the index of addr's line within its page.
+func lineIndex(addr phys.Addr) int {
+	return int(addr&(phys.PageSize-1)) / phys.LineSize
+}
+
+// frame returns the frame of the page based at page, or nil if no line of
+// it was ever written.
+func (s *Store) frame(page phys.Addr) *frame {
+	if s.lastFrame >= 0 && s.lastPage == page {
+		return &s.frames[s.lastFrame]
+	}
+	i, ok := s.index[page]
+	if !ok {
+		return nil
+	}
+	s.lastPage, s.lastFrame = page, i
+	return &s.frames[i]
+}
+
+// frameForWrite returns the frame of the page based at page, adding an
+// empty one if the page is new. The pointer is valid until the next frame
+// is added.
+func (s *Store) frameForWrite(page phys.Addr) *frame {
+	if f := s.frame(page); f != nil {
+		return f
+	}
+	i := int32(len(s.frames))
+	s.frames = append(s.frames, frame{})
+	s.index[page] = i
+	s.lastPage, s.lastFrame = page, i
+	return &s.frames[i]
+}
+
+// line returns line i of f, or nil if it was never written.
+func (s *Store) line(f *frame, i int) []byte {
+	bit := uint64(1) << i
+	if f.written&bit == 0 {
+		return nil
+	}
+	at := bits.OnesCount64(f.written&(bit-1)) * phys.LineSize
+	return f.data[at : at+phys.LineSize : at+phys.LineSize]
+}
+
+// lineForWrite returns line i of f, inserting a zero line at its packed
+// slot if it was never written.
+func (s *Store) lineForWrite(f *frame, i int) []byte {
+	bit := uint64(1) << i
+	at := bits.OnesCount64(f.written&(bit-1)) * phys.LineSize
+	if f.written&bit == 0 {
+		n := len(f.data)
+		if n == cap(f.data) {
+			grown := s.carve(max(2*n, phys.LineSize))
+			copy(grown, f.data)
+			f.data = grown
+		}
+		f.data = f.data[:n+phys.LineSize]
+		copy(f.data[at+phys.LineSize:], f.data[at:])
+		clear(f.data[at : at+phys.LineSize])
+		f.written |= bit
+		s.lines++
+	}
+	return f.data[at : at+phys.LineSize : at+phys.LineSize]
+}
+
+// maxSlab caps the chunks frame buffers are carved from.
+const maxSlab = 64 << 10
+
+// carve returns a zeroed n-byte buffer (n <= maxSlab) from the current
+// slab. A new slab is as large as the store's data so far, between n and
+// maxSlab bytes, so a store holding a few lines allocates little.
+func (s *Store) carve(n int) []byte {
+	if len(s.slab) < n {
+		s.slab = make([]byte, min(max(n, s.lines*phys.LineSize), maxSlab))
+	}
+	b := s.slab[:n:n]
+	s.slab = s.slab[n:]
+	return b
+}
 
 // Controller models one DRAM channel's posted-write machinery: a bounded
 // write queue (32 × 64 B entries in the paper's Xeon) absorbing writes at

@@ -108,8 +108,13 @@ type Credits struct {
 	// old operation is still in flight at any earlier instant.
 	// InFlightAt needs those times to answer "how deep is the queue at
 	// now" exactly; the plain InFlight (ring length) cannot see them.
-	// Kept sorted; pruned against Acquire's start like the ring itself.
+	// earlyRetired[erHead:] is the live part, kept sorted and pruned
+	// against the requested time like the ring itself. When arrivals
+	// outpace service it grows with the backlog, so pruning advances
+	// erHead and reclaims the dead prefix only once it dominates,
+	// keeping each Acquire O(1) amortized.
 	earlyRetired []Time
+	erHead       int
 }
 
 // NewCredits returns a pool with the given capacity (> 0).
@@ -144,21 +149,21 @@ func (c *Credits) InFlight() int { return len(c.outstanding) - c.head }
 // order.
 func (c *Credits) InFlightAt(now Time) int {
 	// Both lists are sorted: count the suffix strictly after now in each.
-	q := c.outstanding[c.head:]
+	return countAfter(c.outstanding[c.head:], now) + countAfter(c.earlyRetired[c.erHead:], now)
+}
+
+// countAfter reports how many entries of the sorted q are strictly after t.
+func countAfter(q []Time, t Time) int {
 	lo, hi := 0, len(q)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if q[mid] <= now {
+		if q[mid] <= t {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	n := len(q) - lo
-	for i := len(c.earlyRetired) - 1; i >= 0 && c.earlyRetired[i] > now; i-- {
-		n++
-	}
-	return n
+	return len(q) - lo
 }
 
 // Acquire obtains a credit for an operation that starts at now and completes
@@ -208,11 +213,11 @@ func (c *Credits) Acquire(now Time) (start Time) {
 func (c *Credits) recordEarlyRetire(t Time) {
 	q := c.earlyRetired
 	n := len(q)
-	if n == 0 || t >= q[n-1] {
+	if n == c.erHead || t >= q[n-1] {
 		c.earlyRetired = append(q, t)
 		return
 	}
-	lo, hi := 0, n
+	lo, hi := c.erHead, n
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
 		if q[mid] <= t {
@@ -229,15 +234,16 @@ func (c *Credits) recordEarlyRetire(t Time) {
 
 // pruneEarlyRetired drops early-retired completions at or before now.
 func (c *Credits) pruneEarlyRetired(now Time) {
-	q := c.earlyRetired
-	i := 0
-	for i < len(q) && q[i] <= now {
-		i++
+	q, h := c.earlyRetired, c.erHead
+	for h < len(q) && q[h] <= now {
+		h++
 	}
-	if i > 0 {
-		n := copy(q, q[i:])
-		c.earlyRetired = q[:n]
+	if 2*h >= len(q) {
+		// The dead prefix is at least the live part: moving the live
+		// part down costs no more than the drops that built the prefix.
+		c.earlyRetired, h = q[:copy(q, q[h:])], 0
 	}
+	c.erHead = h
 }
 
 // Complete records that the operation admitted by a prior Acquire finishes at
@@ -327,4 +333,5 @@ func (c *Credits) Reset() {
 	c.outstanding = c.outstanding[:0]
 	c.head = 0
 	c.earlyRetired = c.earlyRetired[:0]
+	c.erHead = 0
 }

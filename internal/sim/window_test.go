@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math/rand"
 	"testing"
 )
 
@@ -192,5 +193,72 @@ func TestCreditsPipelineEarlyRetire(t *testing.T) {
 	}
 	if got := c.InFlightAt(350); got != 0 {
 		t.Fatalf("InFlightAt(350) = %d, want 0", got)
+	}
+}
+
+// TestCreditsOverloadedMatchesReference drives pools whose arrivals
+// outpace service — the case where early-retired completions pile up
+// with the backlog — through random Acquire/Complete and Pipeline
+// sequences, some with out-of-order completions, broken by idle gaps that
+// drain part or all of the backlog. Every grant must equal
+// the plain multiset reference (creditsRef), and InFlightAt at any probe
+// from the latest request on must equal the number of admitted
+// operations completing after the probe.
+func TestCreditsOverloadedMatchesReference(t *testing.T) {
+	for seed := int64(1); seed <= 40; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		capacity := 1 + r.Intn(8)
+		c := NewCredits("overload", capacity)
+		ref := &creditsRef{capacity: capacity}
+		var done []Time // completion of every admitted operation
+		var last Time   // latest completion in done
+		now := Time(0)
+		for op := 0; op < 2000; op++ {
+			switch k := r.Intn(20); {
+			case k == 0:
+				// An idle gap: the next request comes somewhere inside
+				// or past the backlog, retiring part or all of it.
+				now += Time(r.Int63n(int64(last-now) + 2))
+			case k < 12:
+				// Service far slower than arrivals; a few short jobs
+				// complete out of order.
+				now += Time(r.Intn(3))
+				got := c.Acquire(now)
+				if want := ref.acquire(now); got != want {
+					t.Fatalf("seed %d: Acquire(%v) = %v, reference %v", seed, now, got, want)
+				}
+				d := got + Time(20+r.Intn(60))
+				c.Complete(d)
+				ref.complete(d)
+				done = append(done, d)
+				last = max(last, d)
+			case k < 16:
+				n, dt, svc := 1+r.Intn(6), Time(r.Intn(2)), Time(30+r.Intn(30))
+				var want Time
+				for i := 0; i < n; i++ {
+					want = ref.acquire(now+Time(i)*dt) + svc
+					ref.complete(want)
+					done = append(done, want)
+					last = max(last, want)
+				}
+				if got := c.Pipeline(now, dt, svc, n); got != want {
+					t.Fatalf("seed %d: Pipeline = %v, reference %v", seed, got, want)
+				}
+				now += Time(n-1) * dt
+			default:
+				// Probe anywhere from the latest request to past the
+				// backlog's last completion.
+				probe := now + Time(r.Int63n(int64(last-now)+2))
+				want := 0
+				for _, d := range done {
+					if d > probe {
+						want++
+					}
+				}
+				if got := c.InFlightAt(probe); got != want {
+					t.Fatalf("seed %d op %d: InFlightAt(%v) = %d, want %d", seed, op, probe, got, want)
+				}
+			}
+		}
 	}
 }
