@@ -6,6 +6,26 @@
 // bytes of data, with true LRU replacement within a set. Coherence *policy*
 // (who may invalidate whom, Table III of the paper) lives in the coherence
 // and device packages; this package provides the mechanics.
+//
+// Line storage is materialized on demand, in two blocks per set. The
+// paper's §V methodology times accesses to thousands of distinct lines,
+// each alone in its set of a 16-way LLC, and every job of the parallel
+// runner builds its own rig, so zeroing all ways of every touched set
+// once dominated the rigs' allocation volume. A set's way 0 is a one-line
+// block carved on the set's first Fill; ways 1…ways−1 are a second block
+// carved only when the set first needs a second way. Way 0 followed by the
+// second block is the dense way-index order, which free-way choice, the
+// LRU victim and the VisitValid/FlushAll/FlushRange order all follow, so
+// behavior is that of a dense ways-wide array: storage not yet carved and
+// Invalid lines are indistinguishable through the API. The per-set header
+// is one pointer, held in 64-set chunk blocks allocated on the first Fill
+// in the chunk under an eager index of one slice header per chunk.
+//
+// Blocks never move once carved, so a *Line returned by Lookup or Peek
+// stays valid across later fills, and callers may mutate it in place.
+// Line data buffers are carved from per-cache slabs by SetData; a buffer
+// leaves with its line, as Victim.Data or Invalidate's slice, and is never
+// handed to another line.
 package cache
 
 import (
@@ -76,40 +96,66 @@ func (v Victim) Dirty() bool { return v.State == Modified || v.State == Owned }
 
 // chunkShift sizes the lazy set-header blocks: 1<<chunkShift sets per
 // chunk. 64 sets keeps the eager outer index 64× smaller than one header
-// per set while a chunk header block is only a couple of KB.
+// per set while a chunk header block is only 512 bytes.
 const (
 	chunkShift = 6
 	chunkSets  = 1 << chunkShift
 )
 
-// Cache is a set-associative cache with true-LRU replacement.
-//
-// Line storage is three-level lazy: an eager outer index of 64-set chunks
-// (small — one nil slice header per 64 sets), a chunk's per-set header
-// block allocated on the first Fill inside it, and each set's lines
-// allocated on the set's own first Fill. The paper's caches are large (a
-// 60 MB LLC is ~1M Line records) but each experiment rig touches a tiny
-// fraction of the sets, and every job of the parallel runner builds its
-// own rig — eagerly zeroing the full line array dominated both the
-// allocation volume and the construction time of the characterization
-// benchmarks, and even one eager slice header per set made cache
-// construction the single largest allocation source in BenchmarkInfer.
-// Per-set (not per-chunk) line allocation matters for scattered working
-// sets: a rig touching thousands of isolated sets must not materialize 64
-// sets of lines per touched set. Behavior is identical because missing
-// storage and Invalid lines are indistinguishable through the API. Set
-// slices never move once allocated, so *Line pointers returned by
-// Lookup/Peek/Fill stay valid across later fills.
+// set is one set's storage: way 0 inline and ways 1…ways−1 in rest, which
+// stays nil until the set first holds two lines at once. Chunks point to
+// sets rather than holding them, keeping a never-filled set at 8 bytes.
+type set struct {
+	way0 Line
+	rest []Line
+}
+
+// Cache is a set-associative cache with true-LRU replacement, stored as
+// the package comment describes.
 type Cache struct {
 	name    string
 	ways    int
 	sets    int
 	setMask phys.Addr
-	chunks   [][][]Line // [chunk][set-in-chunk]lines; inner levels nil until first Fill
-	free     []Line     // slab remainder feeding per-set line storage
-	slabSets int        // sets per slab; grows geometrically toward chunkSets
-	tick     uint64
-	stats    Stats
+	chunks  [][]*set   // [chunk][set-in-chunk]; inner levels nil until first Fill
+	heads   slab[set]  // sets, each with its way 0
+	rests   slab[Line] // blocks of ways 1…ways−1
+	data    slab[byte] // line data buffers
+	tick    uint64
+	stats   Stats
+}
+
+// slab carves fixed-size blocks out of backing arrays that start at
+// slabFirst blocks and grow 4× per refill up to max blocks: streaming fills
+// touch sets in bulk, where one allocation per block dominated the figure
+// benchmarks' allocation profile, while short-lived rigs that touch a
+// handful of sets must not pay for (and zero) a large first array.
+type slab[T any] struct {
+	free []T
+	n    int // blocks in the current backing array
+	max  int // blocks per backing array at most
+}
+
+const (
+	slabFirst = 4
+	slabMax   = 64
+)
+
+// carve returns a zeroed block of size elements with capacity size, so an
+// append by the holder cannot run into its neighbour.
+func (s *slab[T]) carve(size int) []T {
+	if len(s.free) < size {
+		switch {
+		case s.n == 0:
+			s.n = min(slabFirst, s.max)
+		case s.n < s.max:
+			s.n = min(s.n*4, s.max)
+		}
+		s.free = make([]T, s.n*size)
+	}
+	b := s.free[:size:size]
+	s.free = s.free[size:]
+	return b
 }
 
 // New creates a cache of the given total size in bytes and associativity.
@@ -132,7 +178,10 @@ func New(name string, sizeBytes, ways int) (*Cache, error) {
 		ways:    ways,
 		sets:    sets,
 		setMask: phys.Addr(sets - 1),
-		chunks:  make([][][]Line, (sets+chunkSets-1)>>chunkShift),
+		chunks:  make([][]*set, (sets+chunkSets-1)>>chunkShift),
+		heads:   slab[set]{max: min(slabMax, sets)},
+		rests:   slab[Line]{max: min(slabMax, sets)},
+		data:    slab[byte]{max: min(slabMax, linesTotal)},
 	}, nil
 }
 
@@ -165,7 +214,7 @@ func (c *Cache) ResetStats() { c.stats = Stats{} }
 
 // set returns addr's set for lookup paths: nil when the set has never
 // been filled, which reads as all-Invalid.
-func (c *Cache) set(addr phys.Addr) []Line {
+func (c *Cache) set(addr phys.Addr) *set {
 	idx := int((phys.LineAddr(addr) / phys.LineSize) & c.setMask)
 	ch := c.chunks[idx>>chunkShift]
 	if ch == nil {
@@ -175,60 +224,66 @@ func (c *Cache) set(addr phys.Addr) []Line {
 }
 
 // setAlloc returns addr's set for the fill path, allocating its chunk
-// header block and line storage on first use.
-func (c *Cache) setAlloc(addr phys.Addr) []Line {
+// header block and carving its way-0 block on first use.
+func (c *Cache) setAlloc(addr phys.Addr) *set {
 	idx := int((phys.LineAddr(addr) / phys.LineSize) & c.setMask)
 	ci := idx >> chunkShift
 	ch := c.chunks[ci]
 	if ch == nil {
-		n := chunkSets
-		if c.sets < chunkSets {
-			n = c.sets
-		}
-		ch = make([][]Line, n)
+		ch = make([]*set, min(chunkSets, c.sets))
 		c.chunks[ci] = ch
 	}
 	si := idx & (chunkSets - 1)
 	s := ch[si]
 	if s == nil {
-		// Carve set storage out of a growing slab: streaming fills touch
-		// sets in bulk, and one allocation per set was a dominant slice
-		// of the figure benchmarks' allocation profile. Slabs start
-		// small and grow geometrically so short-lived rigs that touch a
-		// handful of sets don't pay for (and zero) a full chunk's worth.
-		if len(c.free) < c.ways {
-			if c.slabSets < chunkSets {
-				if c.slabSets == 0 {
-					c.slabSets = 4
-				} else {
-					c.slabSets *= 4
-				}
-			}
-			n := c.slabSets
-			if c.sets < n {
-				n = c.sets
-			}
-			c.free = make([]Line, n*c.ways)
-		}
-		s = c.free[:c.ways:c.ways]
-		c.free = c.free[c.ways:]
+		s = &c.heads.carve(1)[0]
 		ch[si] = s
 	}
 	return s
 }
 
+// find returns the valid line tagged tag in s, or nil. s may be nil.
+func (s *set) find(tag phys.Addr) *Line {
+	if s == nil {
+		return nil
+	}
+	if s.way0.State != Invalid && s.way0.Tag == tag {
+		return &s.way0
+	}
+	for i := range s.rest {
+		if s.rest[i].State != Invalid && s.rest[i].Tag == tag {
+			return &s.rest[i]
+		}
+	}
+	return nil
+}
+
+// each calls fn for every materialized way, set by set in set-index order
+// and way-index order within a set. Only chunks and sets that have ever
+// been filled are visited, so a sparse working set scans in time
+// proportional to the sets touched, not the cache capacity.
+func (c *Cache) each(fn func(l *Line)) {
+	for _, ch := range c.chunks {
+		for _, s := range ch {
+			if s == nil {
+				continue
+			}
+			fn(&s.way0)
+			for i := range s.rest {
+				fn(&s.rest[i])
+			}
+		}
+	}
+}
+
 // Lookup finds the line holding addr, updating recency and hit/miss
 // statistics. It returns nil on miss.
 func (c *Cache) Lookup(addr phys.Addr) *Line {
-	tag := phys.LineAddr(addr)
-	s := c.set(addr)
-	for i := range s {
-		if s[i].State != Invalid && s[i].Tag == tag {
-			c.tick++
-			s[i].lru = c.tick
-			c.stats.Hits++
-			return &s[i]
-		}
+	if l := c.set(addr).find(phys.LineAddr(addr)); l != nil {
+		c.tick++
+		l.lru = c.tick
+		c.stats.Hits++
+		return l
 	}
 	c.stats.Misses++
 	return nil
@@ -238,14 +293,7 @@ func (c *Cache) Lookup(addr phys.Addr) *Line {
 // for cross-validation in tests and state dumps (the paper's methodology
 // cross-validates presence/absence of lines in HMC, DMC and LLC, §V).
 func (c *Cache) Peek(addr phys.Addr) *Line {
-	tag := phys.LineAddr(addr)
-	s := c.set(addr)
-	for i := range s {
-		if s[i].State != Invalid && s[i].Tag == tag {
-			return &s[i]
-		}
-	}
-	return nil
+	return c.set(addr).find(phys.LineAddr(addr))
 }
 
 // MissRun reports how many consecutive cache lines, starting at addr's line
@@ -255,13 +303,8 @@ func (c *Cache) Peek(addr phys.Addr) *Line {
 func (c *Cache) MissRun(addr phys.Addr, max int) int {
 	tag := phys.LineAddr(addr)
 	for i := 0; i < max; i++ {
-		idx := int((tag / phys.LineSize) & c.setMask)
-		if ch := c.chunks[idx>>chunkShift]; ch != nil {
-			for j, s := 0, ch[idx&(chunkSets-1)]; j < len(s); j++ {
-				if s[j].State != Invalid && s[j].Tag == tag {
-					return i
-				}
-			}
+		if c.set(tag).find(tag) != nil {
+			return i
 		}
 		tag += phys.LineSize
 	}
@@ -280,41 +323,61 @@ func (c *Cache) Fill(addr phys.Addr, st State, data []byte) (Victim, bool) {
 	s := c.setAlloc(addr)
 	c.tick++
 	// Already present: update in place.
-	for i := range s {
-		if s[i].State != Invalid && s[i].Tag == tag {
-			s[i].State = st
-			s[i].lru = c.tick
-			setData(&s[i], data)
-			return Victim{}, false
-		}
+	if l := s.find(tag); l != nil {
+		l.State = st
+		l.lru = c.tick
+		c.SetData(l, data)
+		return Victim{}, false
 	}
 	c.stats.Fills++
-	// Free way?
-	for i := range s {
-		if s[i].State == Invalid {
-			s[i] = Line{Tag: tag, State: st, lru: c.tick}
-			setData(&s[i], data)
-			return Victim{}, false
+	// Free way? The first Invalid way in way-index order; the rest block
+	// is carved when way 0 is the only materialized way and it is taken.
+	l := c.freeWay(s)
+	if l != nil {
+		*l = Line{Tag: tag, State: st, lru: c.tick}
+		c.SetData(l, data)
+		return Victim{}, false
+	}
+	// Evict LRU: every way is materialized and valid here.
+	l = &s.way0
+	for i := range s.rest {
+		if s.rest[i].lru < l.lru {
+			l = &s.rest[i]
 		}
 	}
-	// Evict LRU.
-	victim := 0
-	for i := 1; i < len(s); i++ {
-		if s[i].lru < s[victim].lru {
-			victim = i
-		}
-	}
-	v := Victim{Addr: s[victim].Tag, State: s[victim].State, Data: s[victim].Data}
+	v := Victim{Addr: l.Tag, State: l.State, Data: l.Data}
 	c.stats.Evictions++
 	if v.Dirty() {
 		c.stats.Writebacks++
 	}
-	s[victim] = Line{Tag: tag, State: st, lru: c.tick}
-	setData(&s[victim], data)
+	*l = Line{Tag: tag, State: st, lru: c.tick}
+	c.SetData(l, data)
 	return v, true
 }
 
-func setData(l *Line, data []byte) {
+// freeWay returns s's first Invalid way, carving the rest block if the
+// set needs its second way for the first time, or nil when every way is
+// valid.
+func (c *Cache) freeWay(s *set) *Line {
+	if s.way0.State == Invalid {
+		return &s.way0
+	}
+	if s.rest == nil && c.ways > 1 {
+		s.rest = c.rests.carve(c.ways - 1)
+	}
+	for i := range s.rest {
+		if s.rest[i].State == Invalid {
+			return &s.rest[i]
+		}
+	}
+	return nil
+}
+
+// SetData copies data into l's buffer, carving the buffer from the cache's
+// data slab when l has none. l must be a line of c; nil data is a no-op
+// (timing-only mode). The buffer stays l's until l is evicted or
+// invalidated, and is never reused for another line.
+func (c *Cache) SetData(l *Line, data []byte) {
 	if data == nil {
 		return
 	}
@@ -322,7 +385,7 @@ func setData(l *Line, data []byte) {
 		panic(fmt.Sprintf("cache: fill data %d bytes, want %d", len(data), phys.LineSize))
 	}
 	if l.Data == nil {
-		l.Data = make([]byte, phys.LineSize)
+		l.Data = c.data.carve(phys.LineSize)
 	}
 	copy(l.Data, data)
 }
@@ -331,17 +394,14 @@ func setData(l *Line, data []byte) {
 // and data (nil data in timing-only mode). The returned bool reports whether
 // the line was present.
 func (c *Cache) Invalidate(addr phys.Addr) (State, []byte, bool) {
-	tag := phys.LineAddr(addr)
-	s := c.set(addr)
-	for i := range s {
-		if s[i].State != Invalid && s[i].Tag == tag {
-			st, data := s[i].State, s[i].Data
-			s[i] = Line{}
-			c.stats.Invalidations++
-			return st, data, true
-		}
+	l := c.set(addr).find(phys.LineAddr(addr))
+	if l == nil {
+		return Invalid, nil, false
 	}
-	return Invalid, nil, false
+	st, data := l.State, l.Data
+	*l = Line{}
+	c.stats.Invalidations++
+	return st, data, true
 }
 
 // SetState changes the state of a resident line; it reports whether the line
@@ -360,40 +420,22 @@ func (c *Cache) SetState(addr phys.Addr, st State) bool {
 }
 
 // VisitValid calls fn for every valid line. fn must not mutate the cache.
-// Only chunks that have ever been filled are visited, so a sparse working
-// set scans in time proportional to the lines touched, not the cache
-// capacity.
 func (c *Cache) VisitValid(fn func(l *Line)) {
-	for _, ch := range c.chunks {
-		for _, s := range ch {
-			for i := range s {
-				if s[i].State != Invalid {
-					fn(&s[i])
-				}
-			}
+	c.each(func(l *Line) {
+		if l.State != Invalid {
+			fn(l)
 		}
-	}
+	})
 }
 
 // FlushAll invalidates every line, calling writeback for each dirty victim
 // (Modified or Owned) before dropping it. writeback may be nil.
 func (c *Cache) FlushAll(writeback func(v Victim)) {
-	for _, ch := range c.chunks {
-		for _, s := range ch {
-			for i := range s {
-				l := &s[i]
-				if l.State == Invalid {
-					continue
-				}
-				if writeback != nil && (l.State == Modified || l.State == Owned) {
-					c.stats.Writebacks++
-					writeback(Victim{Addr: l.Tag, State: l.State, Data: l.Data})
-				}
-				c.stats.Invalidations++
-				*l = Line{}
-			}
+	c.each(func(l *Line) {
+		if l.State != Invalid {
+			c.flush(l, writeback)
 		}
-	}
+	})
 }
 
 // FlushRange invalidates all lines inside r (used when host software
@@ -401,37 +443,29 @@ func (c *Cache) FlushAll(writeback func(v Victim)) {
 // through writeback (may be nil).
 func (c *Cache) FlushRange(r phys.Range, writeback func(v Victim)) int {
 	flushed := 0
-	for _, ch := range c.chunks {
-		for _, s := range ch {
-			for i := range s {
-				l := &s[i]
-				if l.State == Invalid || !r.Contains(l.Tag) {
-					continue
-				}
-				if writeback != nil && (l.State == Modified || l.State == Owned) {
-					c.stats.Writebacks++
-					writeback(Victim{Addr: l.Tag, State: l.State, Data: l.Data})
-				}
-				c.stats.Invalidations++
-				*l = Line{}
-				flushed++
-			}
+	c.each(func(l *Line) {
+		if l.State != Invalid && r.Contains(l.Tag) {
+			c.flush(l, writeback)
+			flushed++
 		}
-	}
+	})
 	return flushed
+}
+
+// flush invalidates the valid line l, first passing it to writeback (if
+// non-nil) when it is dirty.
+func (c *Cache) flush(l *Line, writeback func(v Victim)) {
+	if writeback != nil && (l.State == Modified || l.State == Owned) {
+		c.stats.Writebacks++
+		writeback(Victim{Addr: l.Tag, State: l.State, Data: l.Data})
+	}
+	c.stats.Invalidations++
+	*l = Line{}
 }
 
 // CountValid returns the number of valid lines (for occupancy checks).
 func (c *Cache) CountValid() int {
 	n := 0
-	for _, ch := range c.chunks {
-		for _, s := range ch {
-			for i := range s {
-				if s[i].State != Invalid {
-					n++
-				}
-			}
-		}
-	}
+	c.VisitValid(func(*Line) { n++ })
 	return n
 }

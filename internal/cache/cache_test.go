@@ -2,6 +2,7 @@ package cache
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -372,13 +373,48 @@ func BenchmarkFillEvict(b *testing.B) {
 	}
 }
 
-// TestLazySetAllocation pins the deferred line-storage contract: a fresh
-// cache answers every read-path query (Lookup, Peek, Invalidate, the
-// whole-cache iterators) without ever materializing a set, and a Fill
-// materializes exactly the one set it touches. Sparse rigs rely on this —
-// eagerly zeroing a 60 MB LLC per parallel job dominated experiment setup.
+// scatteredSets is the rig's §V access shape: one line in each of 2,516
+// sets of its 8 MiB 16-way LLC.
+const scatteredSets = 2516
+
+// scatteredLine returns the i-th line of the scattered shape, hashed
+// across sets as experiments' Rig.devLine spreads device-memory lines (the
+// odd multiplier maps i < 8192 to distinct sets).
+func scatteredLine(i int) phys.Addr {
+	return 0x0080_0000_0000 + 1<<20 + phys.Addr((i*2654435761)%(1<<18))*phys.LineSize
+}
+
+// scatteredFill builds the rig LLC and fills the scattered shape with data.
+func scatteredFill(data []byte) *Cache {
+	c := MustNew("llc", 8<<20, 16)
+	for i := 0; i < scatteredSets; i++ {
+		c.Fill(scatteredLine(i), Exclusive, data)
+	}
+	return c
+}
+
+func BenchmarkCacheScatteredFill(b *testing.B) {
+	data := make([]byte, phys.LineSize)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		c := scatteredFill(data)
+		for j := 0; j < scatteredSets; j++ {
+			if c.Peek(scatteredLine(j)) == nil {
+				b.Fatalf("line %d missing", j)
+			}
+		}
+	}
+}
+
+// TestLazySetAllocation pins the on-demand storage contract: a fresh cache
+// answers every read-path query (Lookup, Peek, Invalidate, the whole-cache
+// iterators) without materializing a set; a Fill into an empty set
+// materializes its way 0 only; and a second line in the set materializes
+// the other ways without moving way 0. Rigs rely on this — each touches a
+// few thousand sets of its 8 MiB LLC with one line apiece, and zeroing all
+// 16 ways per touched set dominated their allocation volume.
 func TestLazySetAllocation(t *testing.T) {
-	c := MustNew("lazy", 1<<20, 4) // 4096 sets
+	c := MustNew("lazy", 1<<20, 16) // 1024 sets
 	if got := testing.AllocsPerRun(10, func() {
 		if c.Lookup(0x1000) != nil || c.Peek(0x2000) != nil {
 			t.Fatal("phantom line in empty cache")
@@ -397,17 +433,38 @@ func TestLazySetAllocation(t *testing.T) {
 
 	// Fills land in two distinct sets; reads then see exactly those lines.
 	c.Fill(0x0040, Exclusive, nil)
-	c.Fill(0x1040, Modified, nil)
+	c.Fill(0x1080, Modified, nil)
+	if s := c.set(0x0040); s == nil || s.rest != nil {
+		t.Fatalf("first Fill into a 16-way set materialized more than way 0: %+v", s)
+	}
 	if c.CountValid() != 2 {
 		t.Fatalf("CountValid = %d, want 2", c.CountValid())
 	}
-	if l := c.Lookup(0x0040); l == nil || l.State != Exclusive {
-		t.Fatalf("lookup after lazy fill: %+v", l)
+	way0 := c.Lookup(0x0040)
+	if way0 == nil || way0.State != Exclusive {
+		t.Fatalf("lookup after lazy fill: %+v", way0)
+	}
+	// A second line in the set carves ways 1…15; way 0 stays put.
+	c.Fill(0x0040+1024*64, Shared, nil)
+	if s := c.set(0x0040); len(s.rest) != 15 || c.Peek(0x0040) != way0 {
+		t.Fatalf("second way: rest %d ways, way 0 moved %v", len(s.rest), c.Peek(0x0040) != way0)
 	}
 	if n := c.FlushRange(phys.Range{Base: 0x1000, Size: 0x100}, nil); n != 1 {
 		t.Fatalf("FlushRange flushed %d, want 1", n)
 	}
-	if c.CountValid() != 1 {
-		t.Fatalf("CountValid after flush = %d, want 1", c.CountValid())
+	if c.CountValid() != 2 {
+		t.Fatalf("CountValid after flush = %d, want 2", c.CountValid())
+	}
+
+	// Bytes per touched set on the rig shape: a ways-wide layout allocated
+	// ~790 B per set (16 × 48-byte Lines plus headers) before data.
+	data := make([]byte, phys.LineSize)
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	rig := scatteredFill(data)
+	runtime.ReadMemStats(&m1)
+	runtime.KeepAlive(rig)
+	if per := float64(m1.TotalAlloc-m0.TotalAlloc) / scatteredSets; per > 790/4 {
+		t.Fatalf("scattered fill allocated %.0f B per touched set, want <= %d", per, 790/4)
 	}
 }

@@ -68,9 +68,7 @@ func (d *Device) d2d(req cxl.D2HReq, addr phys.Addr, data []byte, now sim.Time, 
 		if dmcHit {
 			d.stats.DMCHits++
 			line.State = cache.Modified
-			if data != nil {
-				setLineData(line, data)
-			}
+			d.dmc.SetData(line, data)
 			return Result{Done: t + d.p.Device.DMCWrite, DMCHit: true}
 		}
 		d.fillDMC(addr, cache.Modified, data, t)
@@ -111,7 +109,7 @@ func (d *Device) recallHostLine(addr phys.Addr, line *cache.Line, dmcHit bool) {
 		// The host had newer data: it is transferred into DMC/devmem.
 		d.mem.WriteLine(addr, data)
 		if dmcHit {
-			setLineData(line, data)
+			d.dmc.SetData(line, data)
 		}
 	}
 }

@@ -93,9 +93,7 @@ func (d *Device) d2h(req cxl.D2HReq, addr phys.Addr, data []byte, now sim.Time) 
 		if hmcHit && (line.State == cache.Modified || line.State == cache.Exclusive) {
 			d.stats.HMCHits++
 			line.State = cache.Modified
-			if data != nil {
-				setLineData(line, data)
-			}
+			d.hmc.SetData(line, data)
 			return Result{Done: t + d.p.Device.HMCWrite, HMCHit: true}
 		}
 		// Acquire ownership from the home agent (one-way + grant cost), then
@@ -203,15 +201,4 @@ func (d *Device) WriteHostBlock(req cxl.D2HReq, addr phys.Addr, src []byte, size
 		}
 	}
 	return last
-}
-
-
-func setLineData(l *cache.Line, data []byte) {
-	if len(data) != phys.LineSize {
-		panic(fmt.Sprintf("device: line data %d bytes", len(data)))
-	}
-	if l.Data == nil {
-		l.Data = make([]byte, phys.LineSize)
-	}
-	copy(l.Data, data)
 }

@@ -173,9 +173,7 @@ func (c *Core) accessLocal(op cxl.HostOp, addr phys.Addr, data []byte, now sim.T
 		}
 		if hit {
 			line.State = cache.Modified
-			if data != nil {
-				lineSetData(line, data)
-			}
+			c.h.llc.SetData(line, data)
 			return AccessResult{Done: t + p.Host.LLCHit, LLCHit: true}
 		}
 		// RFO: fetch then modify.
@@ -229,7 +227,7 @@ func (c *Core) accessCXL(op cxl.HostOp, addr phys.Addr, data []byte, now sim.Tim
 			}
 			line.State = cache.Modified
 			if data != nil {
-				lineSetData(line, data)
+				c.h.llc.SetData(line, data)
 				dev.WriteDevMemDirect(addr, data) // functional write-through
 			}
 		}
@@ -352,15 +350,4 @@ func (c *Core) CLFlush(addr phys.Addr, now sim.Time) sim.Time {
 func (c *Core) CLDemote(addr phys.Addr, st cache.State, data []byte, now sim.Time) sim.Time {
 	c.fillLLC(phys.LineAddr(addr), st, data)
 	return now + c.h.p.Host.CLDemote
-}
-
-
-func lineSetData(l *cache.Line, data []byte) {
-	if len(data) != phys.LineSize {
-		panic("host: bad line data size")
-	}
-	if l.Data == nil {
-		l.Data = make([]byte, phys.LineSize)
-	}
-	copy(l.Data, data)
 }
