@@ -26,9 +26,20 @@ import (
 // benchReps keeps per-iteration work bounded; the model is deterministic.
 const benchReps = 200
 
+// jobRows runs jobs on one worker under the default root seed and
+// collects their []T rows in job order, failing on any job error.
+func jobRows[T any](tb testing.TB, jobs []cxl2sim.Job) []T {
+	tb.Helper()
+	results := cxl2sim.RunJobs(jobs, cxl2sim.JobOptions{Workers: 1})
+	if err := cxl2sim.FirstJobError(results); err != nil {
+		tb.Fatal(err)
+	}
+	return experiments.CollectRows[T](results)
+}
+
 func BenchmarkTable3(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows := experiments.Table3()
+		rows := jobRows[experiments.Table3Row](b, experiments.Table3Jobs())
 		if len(rows) != 18 {
 			b.Fatal("Table III incomplete")
 		}
@@ -38,7 +49,7 @@ func BenchmarkTable3(b *testing.B) {
 func BenchmarkFig3(b *testing.B) {
 	var rows []experiments.Fig3Row
 	for i := 0; i < b.N; i++ {
-		rows = experiments.Fig3(experiments.Fig3Config{Reps: benchReps})
+		rows = jobRows[experiments.Fig3Row](b, experiments.Fig3Jobs(experiments.Fig3Config{Reps: benchReps}))
 	}
 	cs := experiments.Fig3Find(rows, "CS-rd", true, true)
 	ld := experiments.Fig3Find(rows, "ld", false, true)
@@ -89,7 +100,7 @@ func BenchmarkCluster(b *testing.B) {
 func BenchmarkFig4(b *testing.B) {
 	var rows []experiments.Fig4Row
 	for i := 0; i < b.N; i++ {
-		rows = experiments.Fig4(experiments.Fig4Config{Reps: benchReps})
+		rows = jobRows[experiments.Fig4Row](b, experiments.Fig4Jobs(experiments.Fig4Config{Reps: benchReps}))
 	}
 	hb := experiments.Fig4Find(rows, "CO-wr", false, true, false)
 	db := experiments.Fig4Find(rows, "CO-wr", false, true, true)
@@ -99,7 +110,7 @@ func BenchmarkFig4(b *testing.B) {
 func BenchmarkFig5(b *testing.B) {
 	var rows []experiments.Fig5Row
 	for i := 0; i < b.N; i++ {
-		rows = experiments.Fig5(experiments.Fig5Config{Reps: benchReps})
+		rows = jobRows[experiments.Fig5Row](b, experiments.Fig5Jobs(experiments.Fig5Config{Reps: benchReps}))
 	}
 	t2 := experiments.Fig5Find(rows, cxl.Ld, experiments.CaseT2Miss)
 	t3 := experiments.Fig5Find(rows, cxl.Ld, experiments.CaseT3)
@@ -110,7 +121,7 @@ func BenchmarkFig5(b *testing.B) {
 func BenchmarkFig6(b *testing.B) {
 	var rows []experiments.Fig6Row
 	for i := 0; i < b.N; i++ {
-		rows = experiments.Fig6()
+		rows = jobRows[experiments.Fig6Row](b, experiments.Fig6Jobs())
 	}
 	st := experiments.Fig6Find(rows, experiments.MechCXLSt, false, 256)
 	mmio := experiments.Fig6Find(rows, experiments.MechPCIeMMIO, false, 256)
@@ -121,7 +132,7 @@ func BenchmarkFig6(b *testing.B) {
 func BenchmarkTable4(b *testing.B) {
 	var rows []experiments.Table4Row
 	for i := 0; i < b.N; i++ {
-		rows = experiments.Table4()
+		rows = jobRows[experiments.Table4Row](b, experiments.Table4Jobs())
 	}
 	b.ReportMetric(experiments.Table4Find(rows, "cxl-zswap").Total, "cxl-total-us")
 	b.ReportMetric(experiments.Table4Find(rows, "pcie-rdma-zswap").Total, "rdma-total-us")
@@ -131,7 +142,7 @@ func BenchmarkTable4(b *testing.B) {
 func BenchmarkWriteQueueCrossover(b *testing.B) {
 	var rows []experiments.WriteQueueRow
 	for i := 0; i < b.N; i++ {
-		rows = experiments.WriteQueueSweep([]int{16, 64, 1024})
+		rows = jobRows[experiments.WriteQueueRow](b, experiments.WriteQueueSweepJobs([]int{16, 64, 1024}))
 	}
 	b.ReportMetric(experiments.FindWriteQueueRow(rows, "CO-wr", 64).BWGBs, "CO-wr-N64-GBs")
 	b.ReportMetric(experiments.FindWriteQueueRow(rows, "st", 64).BWGBs, "st-N64-GBs")
@@ -241,7 +252,7 @@ func BenchmarkAblationBias(b *testing.B) {
 func BenchmarkAblationPipeline(b *testing.B) {
 	var rows []experiments.Table4Row
 	for i := 0; i < b.N; i++ {
-		rows = experiments.Table4()
+		rows = jobRows[experiments.Table4Row](b, experiments.Table4Jobs())
 	}
 	cxlRow := experiments.Table4Find(rows, "cxl-zswap")
 	dma := experiments.Table4Find(rows, "pcie-dma-zswap")

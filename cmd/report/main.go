@@ -48,13 +48,9 @@ func main() {
 	// note instead of dying mid-write.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	results, err := cxl2sim.WriteReportOpts(os.Stdout, cxl2sim.ReportOptions{
-		Reps:     *reps,
-		Full:     *full,
-		Workers:  workers,
-		RootSeed: *seed,
-		Context:  ctx,
-	})
+	results, err := cxl2sim.RunExperimentSections(os.Stdout,
+		[]cxl2sim.ExperimentSection{cxl2sim.ReportSection(*reps, *full)},
+		cxl2sim.JobOptions{Workers: workers, RootSeed: *seed, Context: ctx})
 	if !*noStats {
 		cxl2sim.PrintJobStats(os.Stderr, results)
 	}

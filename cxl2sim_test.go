@@ -162,13 +162,23 @@ func TestStackValidation(t *testing.T) {
 }
 
 func TestExperimentRunnersSmoke(t *testing.T) {
+	all := append(ExperimentSections(8), KernelSections(nil, nil, Fig8Config{})...)
+	var secs []ExperimentSection
+	for _, name := range []string{"fig3", "table3", "table4", "wqsweep"} {
+		s, ok := ExperimentSectionByName(all, name)
+		if !ok {
+			t.Fatalf("no %s section", name)
+		}
+		secs = append(secs, s)
+	}
 	var sb strings.Builder
-	PrintFig3(&sb, RunFig3(8))
-	PrintTable3(&sb, RunTable3())
-	PrintTable4(&sb, RunTable4())
-	PrintWriteQueueSweep(&sb, RunWriteQueueSweep([]int{16, 32}))
-	if !strings.Contains(sb.String(), "Fig. 3") || !strings.Contains(sb.String(), "Table III") {
-		t.Fatal("runner output incomplete")
+	if _, err := RunExperimentSections(&sb, secs, JobOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"Fig. 3", "Table III", "Table IV"} {
+		if !strings.Contains(sb.String(), want) {
+			t.Fatalf("runner output missing %q", want)
+		}
 	}
 	if len(Workloads()) != 4 {
 		t.Fatal("Workloads() wrong")

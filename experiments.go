@@ -8,135 +8,38 @@ import (
 	"repro/internal/ycsb"
 )
 
-// The experiment drivers regenerate the paper's evaluation. Each Run
-// function returns structured rows; each Print function renders them like
-// the paper's figure or table.
-
-// Fig3Row is one bar of Fig. 3 (D2H latency/bandwidth, true vs emulated).
-type Fig3Row = experiments.Fig3Row
-
-// RunFig3 measures true and UPI-emulated D2H accesses. reps <= 0 uses the
-// paper's 1000 repetitions.
-func RunFig3(reps int) []Fig3Row {
-	cfg := experiments.Fig3Config{}
-	if reps > 0 {
-		cfg.Reps = reps
-	}
-	return experiments.Fig3(cfg)
-}
-
-// PrintFig3 renders Fig. 3 rows.
-func PrintFig3(w io.Writer, rows []Fig3Row) { experiments.PrintFig3(w, rows) }
-
-// Fig4Row is one bar of Fig. 4 (D2D bias modes).
-type Fig4Row = experiments.Fig4Row
-
-// RunFig4 measures D2D accesses in host- and device-bias modes.
-func RunFig4(reps int) []Fig4Row {
-	cfg := experiments.Fig4Config{}
-	if reps > 0 {
-		cfg.Reps = reps
-	}
-	return experiments.Fig4(cfg)
-}
-
-// PrintFig4 renders Fig. 4 rows.
-func PrintFig4(w io.Writer, rows []Fig4Row) { experiments.PrintFig4(w, rows) }
-
-// Fig5Row is one bar of Fig. 5 (H2D, Type-2 vs Type-3, DMC states, NC-P).
-type Fig5Row = experiments.Fig5Row
-
-// RunFig5 measures H2D accesses across device personalities and DMC states.
-func RunFig5(reps int) []Fig5Row {
-	cfg := experiments.Fig5Config{}
-	if reps > 0 {
-		cfg.Reps = reps
-	}
-	return experiments.Fig5(cfg)
-}
-
-// PrintFig5 renders Fig. 5 rows.
-func PrintFig5(w io.Writer, rows []Fig5Row) { experiments.PrintFig5(w, rows) }
+// The experiment sections regenerate the paper's evaluation (see jobs.go
+// for the registry and RunExperimentSections); the declarations here are
+// the section inputs and row helpers the commands need beyond it.
 
 // Fig6Row is one point of Fig. 6 (transfer-size sweep, CXL vs PCIe).
 type Fig6Row = experiments.Fig6Row
 
-// RunFig6 sweeps transfer sizes across every mechanism in both directions.
-func RunFig6() []Fig6Row { return experiments.Fig6() }
-
-// PrintFig6 renders Fig. 6 rows.
-func PrintFig6(w io.Writer, rows []Fig6Row) { experiments.PrintFig6(w, rows) }
-
 // WriteFig6CSV renders Fig. 6 rows as CSV for external plotting.
 func WriteFig6CSV(w io.Writer, rows []Fig6Row) error { return experiments.WriteFig6CSV(w, rows) }
-
-// Table3Row is one row of Table III (coherence states after D2H).
-type Table3Row = experiments.Table3Row
-
-// RunTable3 drives every D2H type against every initial placement and
-// reads the resulting HMC/LLC states.
-func RunTable3() []Table3Row { return experiments.Table3() }
-
-// PrintTable3 renders Table III.
-func PrintTable3(w io.Writer, rows []Table3Row) { experiments.PrintTable3(w, rows) }
-
-// Table4Row is one row of Table IV (offload latency breakdown).
-type Table4Row = experiments.Table4Row
-
-// RunTable4 measures the zswap compression-offload breakdown per backend.
-func RunTable4() []Table4Row { return experiments.Table4() }
-
-// PrintTable4 renders Table IV.
-func PrintTable4(w io.Writer, rows []Table4Row) { experiments.PrintTable4(w, rows) }
-
-// Fig8Row is one bar of Fig. 8 (Redis p99 under kernel-feature variants).
-type Fig8Row = experiments.Fig8Row
 
 // Fig8Config tunes the co-simulation (zero values take calibrated
 // defaults: 300 ms horizon, 60k ops/s).
 type Fig8Config = experiments.Fig8Config
 
-// RunFig8 runs one feature ("zswap" or "ksm") across the baseline and all
-// four backends for the given workloads (nil = all of A–D).
-func RunFig8(feature string, workloads []Workload, cfg Fig8Config) []Fig8Row {
-	return experiments.Fig8(feature, workloads, cfg)
+// Fig8CalibratedSeed is the Fig8Config.Seed the published Fig. 8 numbers
+// were calibrated under; a zero seed derives each run's seed from the
+// root seed instead.
+const Fig8CalibratedSeed = experiments.SeedFig8Calibrated
+
+// KernelSections returns the end-to-end kernel-feature sections of
+// §VI–VII that kvsbench runs, in presentation order: table4 (offload
+// latency breakdown), fig8 (Redis p99 under each feature's variants over
+// workloads; nil = all of A–D) and cycles (the §VII host-CPU-cycle and
+// LLC-pollution analysis on the first workload). features lists "zswap"
+// and/or "ksm".
+func KernelSections(features []string, workloads []Workload, cfg Fig8Config) []ExperimentSection {
+	return experiments.KernelSections(features, workloads, cfg)
 }
-
-// PrintFig8 renders Fig. 8 rows.
-func PrintFig8(w io.Writer, rows []Fig8Row) { experiments.PrintFig8(w, rows) }
-
-// InferRow is one scenario of the LLM-serving KV-placement experiment:
-// TTFT/TPOT/goodput plus per-tier KV traffic for one placement policy.
-type InferRow = experiments.InferRow
 
 // InferConfig tunes the serving experiment (zero values take the default
 // 48-request runs with the job's derived seed).
 type InferConfig = experiments.InferConfig
-
-// RunInfer runs every KV-placement scenario (all-DRAM baseline, one
-// static placement per far tier, LRU spill, device-bias-pinned decode).
-func RunInfer(cfg InferConfig) []InferRow { return experiments.Infer(cfg) }
-
-// PrintInfer renders the serving rows.
-func PrintInfer(w io.Writer, rows []InferRow) { experiments.PrintInfer(w, rows) }
-
-// FindInferRow locates a scenario's row by name (e.g. "all-dram").
-func FindInferRow(rows []InferRow, scenario string) InferRow {
-	return experiments.InferFind(rows, scenario)
-}
-
-// WriteQueueRow is one point of the §V-A write-queue sweep.
-type WriteQueueRow = experiments.WriteQueueRow
-
-// RunWriteQueueSweep measures write bandwidth against burst length,
-// exposing the write-queue knee and the CO-wr/st crossover. nil uses the
-// default burst ladder.
-func RunWriteQueueSweep(ns []int) []WriteQueueRow { return experiments.WriteQueueSweep(ns) }
-
-// PrintWriteQueueSweep renders the sweep.
-func PrintWriteQueueSweep(w io.Writer, rows []WriteQueueRow) {
-	experiments.PrintWriteQueueSweep(w, rows)
-}
 
 // Workloads lists the YCSB core workloads A–D.
 func Workloads() []Workload { return ycsb.Workloads() }
@@ -171,17 +74,3 @@ func InferSectionTrace(reps int, t *WorkloadTrace) ExperimentSection {
 func SectionTraceKey(name string, reps int, seed int64, format string, t *WorkloadTrace) string {
 	return experiments.SectionKeyTrace(name, reps, seed, format, t.Hash())
 }
-
-// WorkloadRow is one row of the workload traffic-library section: a
-// temporal arrival model's realized stream (recorded vs replayed) or a
-// client cohort's realized share and shape.
-type WorkloadRow = experiments.WorkloadRow
-
-// WorkloadConfig tunes the workload section.
-type WorkloadConfig = experiments.WorkloadConfig
-
-// RunWorkload runs the traffic-library characterization section.
-func RunWorkload(cfg WorkloadConfig) []WorkloadRow { return experiments.Workload(cfg) }
-
-// PrintWorkload renders the workload rows.
-func PrintWorkload(w io.Writer, rows []WorkloadRow) { experiments.PrintWorkload(w, rows) }

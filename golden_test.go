@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	cxl2sim "repro"
+	"repro/internal/experiments"
 )
 
 // Golden-file tests pin the rendered output of the report generator and
@@ -134,7 +135,9 @@ func withinTolerance(a, b float64) bool {
 // exercised by its own calibration tests and too slow for a golden run).
 func TestReportGolden(t *testing.T) {
 	var buf bytes.Buffer
-	if err := cxl2sim.WriteReport(&buf, 50, false); err != nil {
+	if _, err := cxl2sim.RunExperimentSections(&buf,
+		[]cxl2sim.ExperimentSection{cxl2sim.ReportSection(50, false)},
+		cxl2sim.JobOptions{Workers: 1}); err != nil {
 		t.Fatal(err)
 	}
 	checkGolden(t, "report.golden", buf.String())
@@ -144,14 +147,15 @@ func TestReportGolden(t *testing.T) {
 // (cache states, no timing), so any drift is a semantics change.
 func TestTable3Golden(t *testing.T) {
 	var buf bytes.Buffer
-	cxl2sim.PrintTable3(&buf, cxl2sim.RunTable3())
+	experiments.PrintTable3(&buf, jobRows[experiments.Table3Row](t, experiments.Table3Jobs()))
 	checkGolden(t, "table3.golden", buf.String())
 }
 
 // TestWriteQueueSweepGolden pins the §V-A write-queue sweep rendering.
 func TestWriteQueueSweepGolden(t *testing.T) {
 	var buf bytes.Buffer
-	cxl2sim.PrintWriteQueueSweep(&buf, cxl2sim.RunWriteQueueSweep([]int{1, 8, 64}))
+	experiments.PrintWriteQueueSweep(&buf,
+		jobRows[experiments.WriteQueueRow](t, experiments.WriteQueueSweepJobs([]int{1, 8, 64})))
 	checkGolden(t, "writequeue.golden", buf.String())
 }
 
@@ -160,8 +164,27 @@ func TestWriteQueueSweepGolden(t *testing.T) {
 // a tier-ordering flip (PCIe TPOT is an order of magnitude above DRAM).
 func TestInferGolden(t *testing.T) {
 	var buf bytes.Buffer
-	cxl2sim.PrintInfer(&buf, cxl2sim.RunInfer(cxl2sim.InferConfig{Seed: 42}))
+	experiments.PrintInfer(&buf,
+		jobRows[experiments.InferRow](t, experiments.InferJobs(cxl2sim.InferConfig{Seed: 42})))
 	checkGolden(t, "infer.golden", buf.String())
+}
+
+// kvsbenchSections are the kernel-feature sections at a short horizon on
+// workload A, both features, under the calibrated Fig. 8 seed — what
+// `kvsbench -ms 30 -workloads A` runs for table4, fig8 and cycles.
+func kvsbenchSections() []cxl2sim.ExperimentSection {
+	return cxl2sim.KernelSections([]string{"zswap", "ksm"}, []cxl2sim.Workload{cxl2sim.Workloads()[0]},
+		cxl2sim.Fig8Config{Duration: 30 * cxl2sim.Millisecond, Seed: cxl2sim.Fig8CalibratedSeed})
+}
+
+// TestKvsbenchGolden pins Table IV, Fig. 8 (both features) and the §VII
+// cycles table at a 30 ms horizon on workload A.
+func TestKvsbenchGolden(t *testing.T) {
+	var buf bytes.Buffer
+	if _, err := cxl2sim.RunExperimentSections(&buf, kvsbenchSections(), cxl2sim.JobOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "kvsbench.golden", buf.String())
 }
 
 // TestGoldenComparatorRejectsDrift guards the comparator itself: exact

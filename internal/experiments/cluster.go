@@ -180,11 +180,6 @@ func ClusterJobs(cfg ClusterConfig) []runner.Job {
 	}}}
 }
 
-// Cluster runs the section serially.
-func Cluster(cfg ClusterConfig) []ClusterRow {
-	return collectRows[ClusterRow](runSerial(ClusterJobs(cfg)))
-}
-
 // printClusterTable is printTable with a wider first column: cluster row
 // labels compose scenario, router and link names ("4r/oversub/affinity/r0")
 // and would overflow the shared 17-character grid.

@@ -59,18 +59,12 @@ var trueD2HOps = []struct {
 	{cxl.COWrite, cxl.St},
 }
 
-// Fig3 measures the latency and bandwidth of true and emulated D2H
+// Fig3Jobs measures the latency and bandwidth of true and emulated D2H
 // accesses (Fig. 3 of the paper): NC-rd/CS-rd/NC-wr/CO-wr issued by the
 // device LSU versus nt-ld/ld/nt-st/st issued by a remote-socket core, each
-// against LLC-resident (LLC-1) and LLC-absent (LLC-0) lines. It is the
-// serial form of Fig3Jobs: one enumeration backs both, so parallel and
-// serial runs produce identical row order.
-func Fig3(cfg Fig3Config) []Fig3Row {
-	return collectRows[Fig3Row](runSerial(Fig3Jobs(cfg)))
-}
-
-// Fig3Jobs returns one self-contained job per Fig. 3 cell, in presentation
-// order. Each job builds its own rig, so jobs are shared-nothing.
+// against LLC-resident (LLC-1) and LLC-absent (LLC-0) lines. It returns
+// one self-contained job per cell, in presentation order. Each job builds
+// its own rig, so jobs are shared-nothing.
 func Fig3Jobs(cfg Fig3Config) []runner.Job {
 	cfg.setDefaults()
 	var jobs []runner.Job
@@ -83,9 +77,9 @@ func Fig3Jobs(cfg Fig3Config) []runner.Job {
 			req, op, hit := pair.req, pair.op, llcHit
 			jobs = append(jobs,
 				cellJob(fmt.Sprintf("fig3/%s/%s", llc, req), cfg.Reps+cfg.Burst,
-					func(seed int64) Fig3Row { return measureTrueD2H(req, hit, cfg, seed) }),
+					func() Fig3Row { return measureTrueD2H(req, hit, cfg) }),
 				cellJob(fmt.Sprintf("fig3/%s/%s", llc, op), cfg.Reps+cfg.Burst,
-					func(seed int64) Fig3Row { return measureEmuD2H(op, hit, cfg, seed) }))
+					func() Fig3Row { return measureEmuD2H(op, hit, cfg) }))
 		}
 	}
 	return jobs
@@ -102,8 +96,8 @@ func primeLLC(r *Rig, addr phys.Addr, hit bool) {
 	}
 }
 
-func measureTrueD2H(req cxl.D2HReq, llcHit bool, cfg Fig3Config, seed int64) Fig3Row {
-	r := NewRigSeeded(cxl.Type2, seed)
+func measureTrueD2H(req cxl.D2HReq, llcHit bool, cfg Fig3Config) Fig3Row {
+	r := NewRig(cxl.Type2)
 	lat := stats.NewSample(cfg.Reps)
 	for rep := 0; rep < cfg.Reps; rep++ {
 		addr := r.hostLine(rep)
@@ -136,8 +130,8 @@ func measureTrueD2H(req cxl.D2HReq, llcHit bool, cfg Fig3Config, seed int64) Fig
 	}
 }
 
-func measureEmuD2H(op cxl.HostOp, llcHit bool, cfg Fig3Config, seed int64) Fig3Row {
-	r := NewRigSeeded(cxl.Type2, seed)
+func measureEmuD2H(op cxl.HostOp, llcHit bool, cfg Fig3Config) Fig3Row {
+	r := NewRig(cxl.Type2)
 	lat := stats.NewSample(cfg.Reps)
 	for rep := 0; rep < cfg.Reps; rep++ {
 		addr := r.hostLine(rep)

@@ -41,15 +41,9 @@ func (c *Fig4Config) setDefaults() {
 	}
 }
 
-// Fig4 measures D2D accesses in host- and device-bias modes against DMC
-// hits and misses, alongside the NUMA-emulated equivalents. It is the
-// serial form of Fig4Jobs.
-func Fig4(cfg Fig4Config) []Fig4Row {
-	return collectRows[Fig4Row](runSerial(Fig4Jobs(cfg)))
-}
-
-// Fig4Jobs returns one self-contained job per Fig. 4 cell, in presentation
-// order.
+// Fig4Jobs measures D2D accesses in host- and device-bias modes against
+// DMC hits and misses, alongside the NUMA-emulated equivalents: one
+// self-contained job per Fig. 4 cell, in presentation order.
 func Fig4Jobs(cfg Fig4Config) []runner.Job {
 	cfg.setDefaults()
 	ops := cfg.Reps + cfg.Burst
@@ -67,10 +61,10 @@ func Fig4Jobs(cfg Fig4Config) []runner.Job {
 					bias = "device-bias"
 				}
 				jobs = append(jobs, cellJob(fmt.Sprintf("fig4/%s/%s/%s", dmc, req, bias), ops,
-					func(seed int64) Fig4Row { return measureD2D(req, hit, db, cfg, seed) }))
+					func() Fig4Row { return measureD2D(req, hit, db, cfg) }))
 			}
 			jobs = append(jobs, cellJob(fmt.Sprintf("fig4/%s/%s", dmc, op), ops,
-				func(seed int64) Fig4Row { return measureEmuD2D(op, hit, cfg, seed) }))
+				func() Fig4Row { return measureEmuD2D(op, hit, cfg) }))
 		}
 	}
 	return jobs
@@ -86,8 +80,8 @@ func primeDMC(r *Rig, addr phys.Addr, hit bool) {
 	}
 }
 
-func measureD2D(req cxl.D2HReq, dmcHit, devBias bool, cfg Fig4Config, seed int64) Fig4Row {
-	r := NewRigSeeded(cxl.Type2, seed)
+func measureD2D(req cxl.D2HReq, dmcHit, devBias bool, cfg Fig4Config) Fig4Row {
+	r := NewRig(cxl.Type2)
 	if devBias {
 		r.Dev.EnterDeviceBias(phys.Range{Base: r.devLine(0) &^ 0xFFFFFFF, Size: 1 << 28}, 0)
 	}
@@ -128,8 +122,8 @@ func measureD2D(req cxl.D2HReq, dmcHit, devBias bool, cfg Fig4Config, seed int64
 	}
 }
 
-func measureEmuD2D(op cxl.HostOp, dmcHit bool, cfg Fig4Config, seed int64) Fig4Row {
-	r := NewRigSeeded(cxl.Type2, seed)
+func measureEmuD2D(op cxl.HostOp, dmcHit bool, cfg Fig4Config) Fig4Row {
+	r := NewRig(cxl.Type2)
 	lat := stats.NewSample(cfg.Reps)
 	for rep := 0; rep < cfg.Reps; rep++ {
 		r.Emu.ResetTiming()

@@ -75,15 +75,9 @@ func (c *Fig5Config) setDefaults() {
 	}
 }
 
-// Fig5 measures H2D accesses (host core ld/nt-ld/st/nt-st to device
-// memory) across device personalities and DMC states. It is the serial
-// form of Fig5Jobs.
-func Fig5(cfg Fig5Config) []Fig5Row {
-	return collectRows[Fig5Row](runSerial(Fig5Jobs(cfg)))
-}
-
-// Fig5Jobs returns one self-contained job per Fig. 5 cell, in presentation
-// order.
+// Fig5Jobs measures H2D accesses (host core ld/nt-ld/st/nt-st to device
+// memory) across device personalities and DMC states: one self-contained
+// job per Fig. 5 cell, in presentation order.
 func Fig5Jobs(cfg Fig5Config) []runner.Job {
 	cfg.setDefaults()
 	ops := cfg.Reps + cfg.Burst
@@ -92,17 +86,17 @@ func Fig5Jobs(cfg Fig5Config) []runner.Job {
 		for _, cs := range Fig5Cases() {
 			op, cs := op, cs
 			jobs = append(jobs, cellJob(fmt.Sprintf("fig5/%s/%s", op, cs), ops,
-				func(seed int64) Fig5Row { return measureH2D(op, cs, cfg, seed) }))
+				func() Fig5Row { return measureH2D(op, cs, cfg) }))
 		}
 	}
 	return jobs
 }
 
-func fig5Rig(cs Fig5Case, seed int64) *Rig {
+func fig5Rig(cs Fig5Case) *Rig {
 	if cs == CaseT3 {
-		return NewRigSeeded(cxl.Type3, seed)
+		return NewRig(cxl.Type3)
 	}
-	return NewRigSeeded(cxl.Type2, seed)
+	return NewRig(cxl.Type2)
 }
 
 // primeFig5 sets up the device-side state for one access.
@@ -124,8 +118,8 @@ func primeFig5(r *Rig, cs Fig5Case, addr phys.Addr) {
 	}
 }
 
-func measureH2D(op cxl.HostOp, cs Fig5Case, cfg Fig5Config, seed int64) Fig5Row {
-	r := fig5Rig(cs, seed)
+func measureH2D(op cxl.HostOp, cs Fig5Case, cfg Fig5Config) Fig5Row {
+	r := fig5Rig(cs)
 	core := r.Host.Core(0)
 	lat := stats.NewSample(cfg.Reps)
 	for rep := 0; rep < cfg.Reps; rep++ {

@@ -69,15 +69,10 @@ type Fig6Row struct {
 	BandwidthGBs float64
 }
 
-// Fig6 sweeps transfer sizes over every mechanism in both directions
-// (PCIe-DMA is omitted for D2H, as on the real card, §V-D). It is the
-// serial form of Fig6Jobs.
-func Fig6() []Fig6Row {
-	return collectRows[Fig6Row](runSerial(Fig6Jobs()))
-}
-
-// Fig6Jobs returns one self-contained job per (mechanism, direction)
-// curve, each sweeping all transfer sizes, in presentation order.
+// Fig6Jobs sweeps transfer sizes over every mechanism in both directions
+// (PCIe-DMA is omitted for D2H, as on the real card, §V-D): one
+// self-contained job per (mechanism, direction) curve, each sweeping all
+// transfer sizes, in presentation order.
 func Fig6Jobs() []runner.Job {
 	var jobs []runner.Job
 	for _, d2h := range []bool{false, true} {
@@ -94,10 +89,10 @@ func Fig6Jobs() []runner.Job {
 			}
 			mech, d2h := mech, d2h
 			jobs = append(jobs, sliceJob(fmt.Sprintf("fig6/%s/%s", dir, mech), len(Fig6Sizes()),
-				func(seed int64) []Fig6Row {
+				func() []Fig6Row {
 					var rows []Fig6Row
 					for _, size := range Fig6Sizes() {
-						rows = append(rows, measureFig6(mech, d2h, size, seed))
+						rows = append(rows, measureFig6(mech, d2h, size))
 					}
 					return rows
 				}))
@@ -106,8 +101,8 @@ func Fig6Jobs() []runner.Job {
 	return jobs
 }
 
-func measureFig6(mech Fig6Mechanism, d2h bool, size int, seed int64) Fig6Row {
-	r := NewRigSeeded(cxl.Type2, seed)
+func measureFig6(mech Fig6Mechanism, d2h bool, size int) Fig6Row {
+	r := NewRig(cxl.Type2)
 	ep := pcie.NewEndpoint(r.P)
 	var done sim.Time
 	switch mech {
@@ -207,7 +202,7 @@ func measureCXLD2HPush(r *Rig, size int) sim.Time {
 // callers (like the CSV exporter) that need the rows rather than the
 // rendered table.
 func Fig6Collect(results []runner.Result) []Fig6Row {
-	return collectRows[Fig6Row](results)
+	return CollectRows[Fig6Row](results)
 }
 
 // PrintFig6 renders the rows.

@@ -132,7 +132,7 @@ func (c *Fig8Config) setDefaults() {
 		c.Duration = 300 * sim.Millisecond
 	}
 	if c.Seed == 0 {
-		c.Seed = 1
+		c.Seed = SeedFig8Calibrated
 	}
 	if c.RatePerSec == 0 {
 		c.RatePerSec = 60_000
@@ -496,25 +496,20 @@ func Fig8KsmDiag(v Fig8Variant, w ycsb.Workload, cfg Fig8Config) (Fig8Row, Fig8D
 	return row, diag
 }
 
-// Fig8 runs one feature across all variants and workloads, filling in the
-// baseline-normalized p99 like the paper's figure. It is the serial form
-// of Fig8Jobs, pinned to the calibrated seed so the legacy paths
-// (kvsbench, the calibration workflow) keep their published numbers.
-func Fig8(feature string, workloads []ycsb.Workload, cfg Fig8Config) []Fig8Row {
-	if cfg.Seed == 0 {
-		cfg.Seed = seedFig8Calibrated
-	}
-	return Fig8Collect(runSerial(Fig8Jobs(feature, workloads, cfg)))
-}
-
 // Fig8Jobs returns one job per workload, each forking the baseline + the
 // four backend co-simulations as sub-jobs — baseline first, in the paper's
 // order — so a single workload's five variants spread across the pool even
 // when fig8 is the only section running. When cfg.Seed is zero each
 // variant runs under its derived seed (rootSeed × "fig8/feature/workload"
 // × variant through internal/rng); a non-zero cfg.Seed pins every run,
-// which is what the calibration uses.
+// which is what the calibration and kvsbench use.
 func Fig8Jobs(feature string, workloads []ycsb.Workload, cfg Fig8Config) []runner.Job {
+	return fig8Jobs("fig8", feature, workloads, cfg)
+}
+
+// fig8Jobs is Fig8Jobs with the job IDs under the given section name, so
+// two sections of the same co-simulations can share one pool.
+func fig8Jobs(section, feature string, workloads []ycsb.Workload, cfg Fig8Config) []runner.Job {
 	if len(workloads) == 0 {
 		workloads = ycsb.Workloads()
 	}
@@ -524,7 +519,7 @@ func Fig8Jobs(feature string, workloads []ycsb.Workload, cfg Fig8Config) []runne
 	}
 	var jobs []runner.Job
 	for _, w := range workloads {
-		id := fmt.Sprintf("fig8/%s/%s", feature, w)
+		id := fmt.Sprintf("%s/%s/%s", section, feature, w)
 		jobs = append(jobs, runner.Job{ID: id, Run: func(ctx *runner.Ctx) (any, error) {
 			var subs []runner.SubJob
 			for _, v := range Fig8Variants() {
@@ -558,7 +553,7 @@ func fig8RunCounted(run fig8Run, v Fig8Variant, w ycsb.Workload, cfg Fig8Config)
 // filling in the baseline-normalized p99: within each workload the
 // baseline job precedes its variants, so normalization is a single pass.
 func Fig8Collect(results []runner.Result) []Fig8Row {
-	rows := collectRows[Fig8Row](results)
+	rows := CollectRows[Fig8Row](results)
 	var baseP99 float64
 	for i := range rows {
 		if rows[i].Variant == Baseline {
@@ -585,6 +580,16 @@ func PrintFig8(w io.Writer, rows []Fig8Row) {
 	}
 	printTable(w, "Fig. 8 — Redis p99 latency under kernel-feature variants (normalized to no-*)",
 		[]string{"feature", "config", "wkld", "p50(us)", "p99(us)", "p99.9(us)", "norm", "served", "faults", "featCPU"}, table)
+}
+
+// printCycles renders one feature's rows as the §VII host-CPU-cycle and
+// LLC-pollution table.
+func printCycles(w io.Writer, rows []Fig8Row) {
+	fmt.Fprintf(w, "\n§VII — %s host-CPU cycles and LLC pollution (workload %v)\n", rows[0].Feature, rows[0].Workload)
+	fmt.Fprintf(w, "%-18s%-12s%-16s\n", "config", "featCPU%", "polluted-lines")
+	for _, r := range rows {
+		fmt.Fprintf(w, "%-18s%-12.1f%-16d\n", r.Variant.String()+"-"+r.Feature, r.FeatureCPUPct, r.PollutedLines)
+	}
 }
 
 // Fig8Find locates a row.

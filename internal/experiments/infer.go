@@ -170,11 +170,6 @@ func InferSection(cfg InferConfig) Section {
 	return section("infer", InferJobs(cfg), PrintInfer)
 }
 
-// Infer runs the section serially.
-func Infer(cfg InferConfig) []InferRow {
-	return collectRows[InferRow](runSerial(InferJobs(cfg)))
-}
-
 // PrintInfer renders the rows.
 func PrintInfer(w io.Writer, rows []InferRow) {
 	var table [][]string

@@ -6,12 +6,15 @@ import (
 	"testing"
 )
 
+// inferSeed pins the serving stream of the row-level tests.
+const inferSeed = 42
+
 // TestInferTierOrdering pins the section's headline: with the whole KV
 // cache in one tier, serving latency orders DRAM < Type-2 device-bias <
 // Type-3 < PCIe-DMA, and host bias costs more than device bias on the
 // same memory.
 func TestInferTierOrdering(t *testing.T) {
-	rows := Infer(InferConfig{Seed: SeedRig})
+	rows := jobRows[InferRow](t, InferJobs(InferConfig{Seed: inferSeed}))
 	order := []string{"all-dram", "kv@t2-dev", "kv@t3", "kv@pcie-dma"}
 	for i := 1; i < len(order); i++ {
 		lo := InferFind(rows, order[i-1])
@@ -38,7 +41,7 @@ func TestInferTierOrdering(t *testing.T) {
 }
 
 func TestInferTraffic(t *testing.T) {
-	rows := Infer(InferConfig{Seed: SeedRig})
+	rows := jobRows[InferRow](t, InferJobs(InferConfig{Seed: inferSeed}))
 	if r := InferFind(rows, "all-dram"); r.FarMB != 0 || r.NearMB == 0 {
 		t.Errorf("all-dram traffic wrong: %+v", r)
 	}
@@ -54,8 +57,8 @@ func TestInferTraffic(t *testing.T) {
 }
 
 func TestInferJobsDeterministicAcrossRuns(t *testing.T) {
-	a := Infer(InferConfig{Reps: 30})
-	b := Infer(InferConfig{Reps: 30})
+	a := jobRows[InferRow](t, InferJobs(InferConfig{Reps: 30}))
+	b := jobRows[InferRow](t, InferJobs(InferConfig{Reps: 30}))
 	if len(a) != len(b) {
 		t.Fatalf("row counts differ: %d vs %d", len(a), len(b))
 	}
@@ -68,7 +71,7 @@ func TestInferJobsDeterministicAcrossRuns(t *testing.T) {
 
 func TestPrintInferRenders(t *testing.T) {
 	var buf bytes.Buffer
-	PrintInfer(&buf, Infer(InferConfig{Reps: 24}))
+	PrintInfer(&buf, jobRows[InferRow](t, InferJobs(InferConfig{Reps: 24})))
 	out := buf.String()
 	for _, want := range []string{"KV-cache placement", "all-dram", "pinned-decode", "TPOT(us)"} {
 		if !strings.Contains(out, want) {

@@ -1,16 +1,15 @@
-// Package experiments implements one driver per table and figure of the
-// paper's evaluation (§V and §VII): each driver builds a fresh simulated
-// system, follows the paper's methodology (state priming with CLDEMOTE/
-// CLFLUSH and warm-up reads, >=1K repetitions, median + standard
-// deviation), and returns structured rows that print like the paper's
-// plots. The calibration tests in this package pin the headline ratios to
-// the paper's numbers.
+// Package experiments holds the experiment registry: every table and
+// figure of the paper's evaluation (§V–§VII) is a Section whose jobs each
+// build a fresh simulated system, follow the paper's methodology (state
+// priming with CLDEMOTE/CLFLUSH and warm-up reads, >=1K repetitions,
+// median + standard deviation) and return structured rows, and whose
+// renderer prints those rows like the paper's plots. The calibration
+// tests in this package pin the headline ratios to the paper's numbers.
 package experiments
 
 import (
 	"fmt"
 	"io"
-	"math/rand"
 
 	"repro/internal/cxl"
 	"repro/internal/device"
@@ -18,7 +17,6 @@ import (
 	"repro/internal/host"
 	"repro/internal/mem"
 	"repro/internal/phys"
-	"repro/internal/rng"
 	"repro/internal/timing"
 )
 
@@ -28,18 +26,12 @@ type Rig struct {
 	Host *host.Host
 	Dev  *device.Device
 	Emu  *host.EmuCore
-	rng  *rand.Rand
 }
 
-// NewRigSeeded builds a rig with the given device personality (cxl.Type2
-// or cxl.Type3) and an explicit seed for the rig's random stream — the
-// shared-nothing parallel runner derives one per job. A smaller-than-real
-// LLC keeps rig construction cheap; capacity effects are not what the
-// microbenchmarks measure. The §V microbenchmark measurements are
-// seed-invariant (the access streams are fixed permutations), so a derived
-// seed never shifts the calibrated numbers; the seed exists so that any
-// future stochastic rig component inherits per-job reproducibility for
-// free.
+// NewRig builds a rig with the given device personality (cxl.Type2 or
+// cxl.Type3). A smaller-than-real LLC keeps rig construction cheap;
+// capacity effects are not what the microbenchmarks measure. The §V
+// access streams are fixed permutations, so a rig draws no randomness.
 //
 // Since the fabric layer landed, a rig is just the compiled 1×1 topology
 // preset: one host directly attached to one CXL device
@@ -48,7 +40,7 @@ type Rig struct {
 // calibrated CXL link, attached device — are identical to what the
 // pre-fabric constructor built, so every golden file still renders byte
 // for byte.
-func NewRigSeeded(devType cxl.DeviceType, seed int64) *Rig {
+func NewRig(devType cxl.DeviceType) *Rig {
 	kind := fabric.Type2
 	if devType == cxl.Type3 {
 		kind = fabric.Type3
@@ -56,7 +48,7 @@ func NewRigSeeded(devType cxl.DeviceType, seed int64) *Rig {
 	topo := fabric.OneToOne(kind, fabric.NodeSpec{LLCBytes: 8 << 20, LLCWays: 16, Cores: 8})
 	f := fabric.MustBuild(topo, nil)
 	h := f.Host("h0")
-	return &Rig{P: f.Params(), Host: h, Dev: h.Dev, Emu: h.NewEmuCore(), rng: rng.New(seed)}
+	return &Rig{P: f.Params(), Host: h, Dev: h.Dev, Emu: h.NewEmuCore()}
 }
 
 // hostLine returns the i-th distinct host-memory line of a random-ish

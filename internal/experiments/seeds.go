@@ -5,13 +5,9 @@ package experiments
 // this experiment's randomness come from". The numeric values are part of
 // the calibration — the calibration tests pin medians produced under these
 // exact streams — so changing one is a recalibration event, not a refactor.
-const (
-	// SeedRig feeds the per-rig stream of the §V microbenchmark drivers.
-	SeedRig int64 = 42
-	// SeedTable4Page generates the representative 70%-compressible page of
-	// the Table 4 latency breakdown.
-	SeedTable4Page int64 = 4
-)
+// SeedTable4Page generates the representative 70%-compressible page of
+// the Table 4 latency breakdown.
+const SeedTable4Page int64 = 4
 
 // Fig. 8's end-to-end runs take a user seed (Fig8Config.Seed) and derive
 // the independent streams at fixed offsets: keeping the offsets distinct
@@ -24,9 +20,9 @@ const (
 	seedOffFig8KsmSleep   int64 = 9 // ksmd drawn sleeps (Temporal runs only)
 )
 
-// seedFig8Calibrated is the Fig8Config.Seed the calibration (and the
-// legacy Fig8/kvsbench paths) run under. The parallel suite instead
-// derives each fig8 job's seed from (rootSeed, jobID) through internal/rng
-// — see Fig8Jobs — so a suite run is reproducible from one root integer
-// while the calibrated numbers stay pinned to this constant.
-const seedFig8Calibrated int64 = 1
+// SeedFig8Calibrated is the Fig8Config.Seed the calibration and kvsbench
+// run under. The report instead derives each fig8 job's seed from
+// (rootSeed, jobID) through internal/rng — see Fig8Jobs — so a report run
+// is reproducible from one root integer while the calibrated numbers stay
+// pinned to this constant.
+const SeedFig8Calibrated int64 = 1

@@ -5,33 +5,35 @@ import (
 	"io"
 
 	"repro/internal/runner"
+	"repro/internal/ycsb"
 )
 
 // This file is the experiment registry: every figure and table of the
 // paper's evaluation decomposed into self-contained runner jobs (one rig
-// or co-simulation per job, nothing shared), plus the section list the
-// commands fan out over a worker pool. The serial drivers (Fig3, Fig4, …)
-// run the very same jobs on one worker, so parallel and serial runs share
-// a single enumeration and produce byte-identical output for the same
+// or co-simulation per job, nothing shared), grouped into the sections
+// that every command, the report and the service run through one worker
+// pool. There is no other path to an experiment's rows, so a run on one
+// worker and a run on many produce byte-identical output for the same
 // root seed.
 
-// cellJob wraps one measurement cell as a runner job: the cell receives
-// the job's derived seed and returns one typed row; ops is the simulated
-// access count credited to the event-rate stat (the microbenchmark rigs
-// have no central event queue, so accesses are the honest unit).
-func cellJob[T any](id string, ops int, cell func(seed int64) T) runner.Job {
+// cellJob wraps one measurement cell as a runner job returning one typed
+// row; ops is the simulated access count credited to the event-rate stat
+// (the microbenchmark rigs have no central event queue, so accesses are
+// the honest unit). The §V cells draw no randomness, so they ignore the
+// job's derived seed.
+func cellJob[T any](id string, ops int, cell func() T) runner.Job {
 	return runner.Job{ID: id, Run: func(ctx *runner.Ctx) (any, error) {
 		ctx.AddEvents(uint64(ops))
-		return []T{cell(ctx.Seed)}, nil
+		return []T{cell()}, nil
 	}}
 }
 
 // sliceJob wraps a cell producing several rows at once (e.g. one Fig. 6
 // mechanism across all sizes).
-func sliceJob[T any](id string, ops int, cell func(seed int64) []T) runner.Job {
+func sliceJob[T any](id string, ops int, cell func() []T) runner.Job {
 	return runner.Job{ID: id, Run: func(ctx *runner.Ctx) (any, error) {
 		ctx.AddEvents(uint64(ops))
-		return cell(ctx.Seed), nil
+		return cell(), nil
 	}}
 }
 
@@ -54,16 +56,10 @@ func forkRows[T any](ctx *runner.Ctx, subs []runner.SubJob) ([]T, error) {
 	return rows, nil
 }
 
-// runSerial executes jobs on one worker under the default root seed — the
-// legacy serial drivers are this plus a collect.
-func runSerial(jobs []runner.Job) []runner.Result {
-	return runner.Run(jobs, runner.Options{Workers: 1})
-}
-
-// collectRows concatenates the per-job []T fragments in job order. A
-// failed job's fragment is skipped; the suite-level callers surface the
-// error through runner.Values before rendering.
-func collectRows[T any](results []runner.Result) []T {
+// CollectRows concatenates the per-job []T fragments in job order. A
+// failed job's fragment is skipped; renderers surface the error through
+// runner.Values before collecting.
+func CollectRows[T any](results []runner.Result) []T {
 	var rows []T
 	for _, r := range results {
 		if frag, ok := r.Value.([]T); ok {
@@ -93,7 +89,7 @@ func section[T any](name string, jobs []runner.Job, print func(io.Writer, []T)) 
 			if _, err := runner.Values(results); err != nil {
 				return err
 			}
-			print(w, collectRows[T](results))
+			print(w, CollectRows[T](results))
 			return nil
 		},
 	}
@@ -116,6 +112,48 @@ func Sections(reps int) []Section {
 		section("infer", InferJobs(InferConfig{Reps: reps}), PrintInfer),
 		section("workload", WorkloadJobs(WorkloadConfig{Reps: reps}), PrintWorkload),
 		section("cluster", ClusterJobs(ClusterConfig{Reps: reps}), PrintCluster),
+	}
+}
+
+// KernelSections returns the end-to-end kernel-feature sections of
+// §VI–VII in presentation order: table4 (the offload latency breakdown),
+// fig8 (Redis p99 under each feature's variants, one block per feature)
+// and cycles (the §VII host-CPU-cycle and LLC-pollution analysis, one
+// block per feature on the first workload). nil workloads take all of
+// A–D. A zero cfg.Seed derives every co-simulation's seed from the root
+// seed; kvsbench pins it to SeedFig8Calibrated.
+func KernelSections(features []string, workloads []ycsb.Workload, cfg Fig8Config) []Section {
+	if len(workloads) == 0 {
+		workloads = ycsb.Workloads()
+	}
+	return []Section{
+		section("table4", Table4Jobs(), PrintTable4),
+		fig8Section("fig8", features, workloads, cfg, PrintFig8),
+		fig8Section("cycles", features, workloads[:1], cfg, printCycles),
+	}
+}
+
+// fig8Section builds a section of Fig. 8 co-simulations, one job per
+// (feature, workload) under IDs prefixed with name, rendering one block
+// per feature from the baseline-normalized rows.
+func fig8Section(name string, features []string, workloads []ycsb.Workload, cfg Fig8Config,
+	print func(io.Writer, []Fig8Row)) Section {
+	var jobs []runner.Job
+	for _, f := range features {
+		jobs = append(jobs, fig8Jobs(name, f, workloads, cfg)...)
+	}
+	return Section{
+		Name: name,
+		Jobs: jobs,
+		Render: func(w io.Writer, results []runner.Result) error {
+			if _, err := runner.Values(results); err != nil {
+				return err
+			}
+			for n := len(workloads); len(results) > 0; results = results[n:] {
+				print(w, Fig8Collect(results[:n]))
+			}
+			return nil
+		},
 	}
 }
 

@@ -18,32 +18,27 @@ type Table3Row struct {
 	LLCState cache.State
 }
 
-// Table3 reproduces Table III by driving every D2H request type against
-// every initial placement on a live system and reading the resulting
-// coherence states back (the paper's cross-validation methodology). It is
-// the serial form of Table3Jobs.
-func Table3() []Table3Row {
-	return collectRows[Table3Row](runSerial(Table3Jobs()))
-}
-
-// Table3Jobs returns one self-contained job per D2H request type, each
-// covering all three initial placements, in presentation order.
+// Table3Jobs reproduces Table III by driving every D2H request type
+// against every initial placement on a live system and reading the
+// resulting coherence states back (the paper's cross-validation
+// methodology): one self-contained job per request type, each covering
+// all three initial placements, in presentation order.
 func Table3Jobs() []runner.Job {
 	reqs := []cxl.D2HReq{cxl.NCP, cxl.NCRead, cxl.NCWrite, cxl.CORead, cxl.COWrite, cxl.CSRead}
 	var jobs []runner.Job
 	for _, req := range reqs {
 		req := req
 		jobs = append(jobs, sliceJob("table3/"+req.String(), 3,
-			func(seed int64) []Table3Row { return table3Req(req, seed) }))
+			func() []Table3Row { return table3Req(req) }))
 	}
 	return jobs
 }
 
 // table3Req drives one request type against every initial placement.
-func table3Req(req cxl.D2HReq, seed int64) []Table3Row {
+func table3Req(req cxl.D2HReq) []Table3Row {
 	var rows []Table3Row
 	for _, initial := range []string{"HMC hit", "LLC hit", "LLC miss"} {
-		r := NewRigSeeded(cxl.Type2, seed)
+		r := NewRig(cxl.Type2)
 		addr := r.hostLine(1)
 		r.Host.Store().WriteLine(addr, make([]byte, phys.LineSize))
 		switch initial {

@@ -28,15 +28,10 @@ type Table4Row struct {
 	Pipelined  bool // cxl reports only Total (steps overlap), like the paper
 }
 
-// Table4 measures the compression-offload latency breakdown for the
-// pcie-rdma, pcie-dma and cxl backends over a representative 4 KB page.
-// It is the serial form of Table4Jobs.
-func Table4() []Table4Row {
-	return collectRows[Table4Row](runSerial(Table4Jobs()))
-}
-
-// Table4Jobs returns one self-contained job per backend. Each builds its
-// own host + platform; the representative page always comes from the
+// Table4Jobs measures the compression-offload latency breakdown for the
+// pcie-rdma, pcie-dma and cxl backends over a representative 4 KB page:
+// one self-contained job per backend. Each builds its own host +
+// platform; the representative page always comes from the
 // calibration constant SeedTable4Page (its content is part of the
 // calibration), not the job's derived seed.
 func Table4Jobs() []runner.Job {
@@ -44,7 +39,7 @@ func Table4Jobs() []runner.Job {
 	for _, v := range []offload.Variant{offload.PCIeRDMA, offload.PCIeDMA, offload.CXL} {
 		v := v
 		jobs = append(jobs, cellJob("table4/"+v.String(), 1,
-			func(seed int64) Table4Row { return table4Backend(v) }))
+			func() Table4Row { return table4Backend(v) }))
 	}
 	return jobs
 }
@@ -109,16 +104,11 @@ type WriteQueueRow struct {
 	IsTrue bool
 }
 
-// WriteQueueSweep measures st / nt-st (emulated) and CO-wr / NC-wr (true
-// CXL) write bandwidth over growing burst lengths, all against LLC-miss
-// lines. It is the serial form of WriteQueueSweepJobs.
-func WriteQueueSweep(ns []int) []WriteQueueRow {
-	return collectRows[WriteQueueRow](runSerial(WriteQueueSweepJobs(ns)))
-}
-
-// WriteQueueSweepJobs returns one self-contained job per burst length,
-// each measuring all four access kinds, in sweep order. nil uses the
-// default burst ladder.
+// WriteQueueSweepJobs measures st / nt-st (emulated) and CO-wr / NC-wr
+// (true CXL) write bandwidth over growing burst lengths, all against
+// LLC-miss lines: one self-contained job per burst length, each measuring
+// all four access kinds, in sweep order. nil uses the default burst
+// ladder.
 func WriteQueueSweepJobs(ns []int) []runner.Job {
 	if len(ns) == 0 {
 		ns = []int{16, 32, 64, 128, 256, 512, 1024}
@@ -127,19 +117,19 @@ func WriteQueueSweepJobs(ns []int) []runner.Job {
 	for _, n := range ns {
 		n := n
 		jobs = append(jobs, sliceJob(fmt.Sprintf("wqsweep/N%d", n), 4*n,
-			func(seed int64) []WriteQueueRow { return writeQueuePoint(n, seed) }))
+			func() []WriteQueueRow { return writeQueuePoint(n) }))
 	}
 	return jobs
 }
 
 // writeQueuePoint measures all four access kinds at one burst length.
-func writeQueuePoint(n int, seed int64) []WriteQueueRow {
+func writeQueuePoint(n int) []WriteQueueRow {
 	var rows []WriteQueueRow
 	for _, pair := range []struct {
 		req    cxl.D2HReq
 		isTrue bool
 	}{{cxl.COWrite, true}, {cxl.NCWrite, true}} {
-		r := NewRigSeeded(cxl.Type2, seed)
+		r := NewRig(cxl.Type2)
 		r.Host.ResetTiming()
 		var last sim.Time
 		for i := 0; i < n; i++ {
@@ -154,7 +144,7 @@ func writeQueuePoint(n int, seed int64) []WriteQueueRow {
 		})
 	}
 	for _, op := range []cxl.HostOp{cxl.St, cxl.NtSt} {
-		r := NewRigSeeded(cxl.Type2, seed)
+		r := NewRig(cxl.Type2)
 		var last sim.Time
 		for i := 0; i < n; i++ {
 			done := r.Emu.D2H(op, r.hostLine(i), 0)

@@ -519,16 +519,16 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 	}
 
 	key := experiments.ReportKey(reps, full, seed)
-	opts := cxl2sim.ReportOptions{Reps: reps, Full: full}
+	sec := cxl2sim.ReportSection(reps, full)
 	s.runCached(w, r, key, "report", func(ctx context.Context) (cached, error) {
-		results := cxl2sim.RunJobs(cxl2sim.ReportJobs(opts), cxl2sim.JobOptions{
+		results := cxl2sim.RunJobs(sec.Jobs, cxl2sim.JobOptions{
 			Workers: s.cfg.Workers, RootSeed: seed, Context: ctx,
 		})
 		if cerr := s.checkRun(ctx, results); cerr != nil {
 			return cached{}, cerr
 		}
 		var buf bytes.Buffer
-		if err := cxl2sim.RenderReport(&buf, opts, results); err != nil {
+		if err := sec.Render(&buf, results); err != nil {
 			return cached{}, err
 		}
 		return cached{body: buf.Bytes(), contentType: "text/markdown; charset=utf-8"}, nil

@@ -350,9 +350,9 @@ func TestMeasureEndpoint(t *testing.T) {
 	}
 }
 
-// TestReportMatchesSerialWriter: the /v1/report bytes equal
-// WriteReportOpts run serially in-process — the same guarantee the CI
-// smoke checks against cmd/report -serial.
+// TestReportMatchesSerialWriter: the /v1/report bytes equal the report
+// section run serially in-process — the same guarantee the CI smoke
+// checks against cmd/report -serial.
 func TestReportMatchesSerialWriter(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 4})
 	resp, got := get(t, ts.URL+"/v1/report?reps="+fmt.Sprint(testReps)+"&seed=5")
@@ -360,9 +360,9 @@ func TestReportMatchesSerialWriter(t *testing.T) {
 		t.Fatalf("report: %d %s", resp.StatusCode, got)
 	}
 	var ref bytes.Buffer
-	if _, err := cxl2sim.WriteReportOpts(&ref, cxl2sim.ReportOptions{
-		Reps: testReps, Workers: 1, RootSeed: 5,
-	}); err != nil {
+	if _, err := cxl2sim.RunExperimentSections(&ref,
+		[]cxl2sim.ExperimentSection{cxl2sim.ReportSection(testReps, false)},
+		cxl2sim.JobOptions{Workers: 1, RootSeed: 5}); err != nil {
 		t.Fatalf("reference report: %v", err)
 	}
 	if !bytes.Equal(got, ref.Bytes()) {

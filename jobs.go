@@ -62,8 +62,9 @@ func WriteJobStatsJSON(w io.Writer, results []JobResult, workers int, rootSeed i
 	return runner.WriteStatsJSON(w, results, workers, rootSeed)
 }
 
-// ExperimentSection is one rendered block of cxlbench output: its jobs and
-// the renderer that assembles their rows.
+// ExperimentSection is one rendered block of experiment output (a cxlbench
+// figure, a kvsbench table, the report): its jobs and the renderer that
+// assembles their rows.
 type ExperimentSection = experiments.Section
 
 // ExperimentSections returns the cxlbench sections (see

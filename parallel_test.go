@@ -19,9 +19,9 @@ import (
 func reportBytes(t *testing.T, workers int) string {
 	t.Helper()
 	var buf bytes.Buffer
-	if _, err := cxl2sim.WriteReportOpts(&buf, cxl2sim.ReportOptions{
-		Reps: 30, Workers: workers,
-	}); err != nil {
+	if _, err := cxl2sim.RunExperimentSections(&buf,
+		[]cxl2sim.ExperimentSection{cxl2sim.ReportSection(30, false)},
+		cxl2sim.JobOptions{Workers: workers}); err != nil {
 		t.Fatal(err)
 	}
 	return buf.String()
@@ -40,23 +40,32 @@ func TestReportParallelMatchesSerial(t *testing.T) {
 }
 
 // TestSuiteParallelMatchesSerial does the same for the cxlbench section
-// suite (tables + figures + sweep rendered from one shared pool).
+// suite (tables + figures + sweep rendered from one shared pool) and for
+// the kvsbench kernel-feature sections (table4, fig8, cycles).
 func TestSuiteParallelMatchesSerial(t *testing.T) {
-	render := func(workers int) string {
-		var buf bytes.Buffer
-		secs := cxl2sim.ExperimentSections(30)
-		if _, err := cxl2sim.RunExperimentSections(&buf, secs,
-			cxl2sim.JobOptions{Workers: workers}); err != nil {
-			t.Fatal(err)
+	for _, suite := range []struct {
+		name string
+		secs []cxl2sim.ExperimentSection
+	}{
+		{"cxlbench", cxl2sim.ExperimentSections(30)},
+		{"kvsbench", kvsbenchSections()},
+	} {
+		name, secs := suite.name, suite.secs
+		render := func(workers int) string {
+			var buf bytes.Buffer
+			if _, err := cxl2sim.RunExperimentSections(&buf, secs,
+				cxl2sim.JobOptions{Workers: workers}); err != nil {
+				t.Fatal(err)
+			}
+			return buf.String()
 		}
-		return buf.String()
-	}
-	serial := render(1)
-	if serial == "" {
-		t.Fatal("empty suite output")
-	}
-	if got := render(4); got != serial {
-		t.Error("suite bytes diverged at 4 workers")
+		serial := render(1)
+		if serial == "" {
+			t.Fatalf("empty %s suite output", name)
+		}
+		if got := render(4); got != serial {
+			t.Errorf("%s suite bytes diverged at 4 workers", name)
+		}
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	cxl2sim "repro"
+	"repro/internal/experiments"
 )
 
 // Record-and-replay tests pin the workload trace contract at the module
@@ -60,8 +61,8 @@ func TestInferTraceReplayMatchesLive(t *testing.T) {
 	if err != nil {
 		t.Fatalf("checked-in trace does not decode: %v", err)
 	}
-	live := cxl2sim.RunInfer(cxl2sim.InferConfig{Seed: 42})
-	replay := cxl2sim.RunInfer(cxl2sim.InferConfig{Seed: 42, Trace: tr})
+	live := jobRows[experiments.InferRow](t, experiments.InferJobs(cxl2sim.InferConfig{Seed: 42}))
+	replay := jobRows[experiments.InferRow](t, experiments.InferJobs(cxl2sim.InferConfig{Seed: 42, Trace: tr}))
 	if !reflect.DeepEqual(live, replay) {
 		t.Fatalf("replayed rows diverged from live generation:\n live   %+v\n replay %+v", live, replay)
 	}

@@ -1,138 +1,58 @@
 package cxl2sim
 
 import (
-	"context"
 	"fmt"
 	"io"
 
 	cxlpkg "repro/internal/cxl"
 	"repro/internal/experiments"
-	"repro/internal/runner"
 	"repro/internal/ycsb"
 )
 
-// ReportOptions tunes WriteReportOpts. Zero values take the defaults noted
-// on each field.
-type ReportOptions struct {
-	// Reps is the repetition count per microbenchmark measurement
-	// (0 keeps the paper's 1000).
-	Reps int
-	// Full also runs the Fig. 8 co-simulations (minutes).
-	Full bool
-	// Workers sizes the worker pool: 1 runs serially on the calling
-	// goroutine, 0 (or negative) uses GOMAXPROCS. The rendered report is
-	// byte-identical for any worker count.
-	Workers int
-	// RootSeed is the root of the per-job seed derivation (0 takes the
-	// default root seed). Per-job seeds depend only on (RootSeed, job ID),
-	// never on scheduling.
-	RootSeed int64
-	// Context, when non-nil, cancels the run: undispatched jobs are
-	// marked failed (Cancelled) and the report render is skipped.
-	Context context.Context
-}
-
-// WriteReport writes the paper-vs-measured comparison as a markdown table:
-// it runs every microbenchmark experiment (and, when full is set, the
-// Fig. 8 co-simulations), computes the paper's headline ratios from the
-// fresh measurements, and prints them next to the published numbers. reps
-// is the repetition count per microbenchmark measurement; `report -full`
-// produces the data behind EXPERIMENTS.md. It is the serial form of
-// WriteReportOpts.
-func WriteReport(w io.Writer, reps int, full bool) error {
-	_, err := WriteReportOpts(w, ReportOptions{Reps: reps, Full: full, Workers: 1})
-	return err
-}
-
-// reportGroup is one named slice of the report's job list. The
-// enumeration is a pure function of the options, so RenderReport can
-// pair results with groups by index whoever ran the jobs.
-type reportGroup struct {
-	name string
-	jobs []runner.Job
-}
-
-func reportGroups(o ReportOptions) []reportGroup {
-	groups := []reportGroup{
-		{"fig3", experiments.Fig3Jobs(experiments.Fig3Config{Reps: o.Reps})},
-		{"fig4", experiments.Fig4Jobs(experiments.Fig4Config{Reps: o.Reps})},
-		{"fig5", experiments.Fig5Jobs(experiments.Fig5Config{Reps: o.Reps})},
-		{"fig6", experiments.Fig6Jobs()},
-		{"table4", experiments.Table4Jobs()},
+// ReportSection is the paper-vs-measured comparison as one experiment
+// section: it runs the fig3–fig6 and table4 sections (and, when full is
+// set, Fig. 8 on workload A), computes the paper's headline ratios from
+// the fresh measurements, and renders them as a markdown table next to
+// the published numbers. reps is the repetition count per microbenchmark
+// measurement (0 keeps the paper's 1000); `report -full` produces the
+// data behind EXPERIMENTS.md. Its render fails without writing when any
+// job failed, so a partial run never masquerades as a report.
+func ReportSection(reps int, full bool) ExperimentSection {
+	all := append(experiments.Sections(reps), experiments.KernelSections(
+		[]string{"zswap", "ksm"}, []ycsb.Workload{ycsb.A}, experiments.Fig8Config{})...)
+	names := []string{"fig3", "fig4", "fig5", "fig6", "table4"}
+	if full {
+		names = append(names, "fig8")
 	}
-	if o.Full {
-		cfg := experiments.Fig8Config{}
-		groups = append(groups,
-			reportGroup{"fig8zswap", experiments.Fig8Jobs("zswap", []ycsb.Workload{ycsb.A}, cfg)},
-			reportGroup{"fig8ksm", experiments.Fig8Jobs("ksm", []ycsb.Workload{ycsb.A}, cfg)},
-		)
+	var parts []ExperimentSection
+	var jobs []Job
+	for _, name := range names {
+		s, _ := experiments.SectionByName(all, name)
+		parts = append(parts, s)
+		jobs = append(jobs, s.Jobs...)
 	}
-	return groups
-}
-
-// ReportJobs enumerates the report's experiment jobs in render order.
-// Only Reps and Full shape the list; execution knobs (workers, seed,
-// context) do not.
-func ReportJobs(o ReportOptions) []runner.Job {
-	var jobs []runner.Job
-	for _, g := range reportGroups(o) {
-		jobs = append(jobs, g.jobs...)
-	}
-	return jobs
-}
-
-// RenderReport renders the comparison table from a finished run of
-// ReportJobs(o): results[i] must describe job i of that enumeration. It
-// fails without writing when any job failed, so a partial run never
-// masquerades as a report.
-func RenderReport(w io.Writer, o ReportOptions, results []runner.Result) error {
-	groups := reportGroups(o)
-	by := make(map[string][]runner.Result, len(groups))
-	off := 0
-	for _, g := range groups {
-		by[g.name] = results[off : off+len(g.jobs)]
-		off += len(g.jobs)
-	}
-	if _, err := runner.Values(results); err != nil {
-		return err
-	}
-
-	r := &reporter{w: w}
-	r.printf("# cxl2sim reproduction report\n\n")
-	r.printf("| experiment | relation | paper | measured |\n")
-	r.printf("|---|---|---|---|\n")
-
-	r.fig3(collect[experiments.Fig3Row](by["fig3"]))
-	r.fig4(collect[experiments.Fig4Row](by["fig4"]))
-	r.fig5(collect[experiments.Fig5Row](by["fig5"]))
-	r.fig6(collect[experiments.Fig6Row](by["fig6"]))
-	r.table4(collect[experiments.Table4Row](by["table4"]))
-	if o.Full {
-		r.fig8(experiments.Fig8Collect(by["fig8zswap"]), experiments.Fig8Collect(by["fig8ksm"]))
-	}
-	return r.err
-}
-
-// WriteReportOpts runs the report's experiments as self-contained jobs on
-// one shared worker pool and renders the comparison table. It returns the
-// per-job results for stats reporting (wall clock, event rate). Rendering
-// happens after all jobs complete, in job order, so output bytes do not
-// depend on the worker count.
-func WriteReportOpts(w io.Writer, o ReportOptions) ([]runner.Result, error) {
-	results := runner.Run(ReportJobs(o),
-		runner.Options{Workers: o.Workers, RootSeed: o.RootSeed, Context: o.Context})
-	return results, RenderReport(w, o, results)
-}
-
-// collect concatenates the per-job []T fragments in job order.
-func collect[T any](results []runner.Result) []T {
-	var rows []T
-	for _, res := range results {
-		if frag, ok := res.Value.([]T); ok {
-			rows = append(rows, frag...)
+	return ExperimentSection{Name: "report", Jobs: jobs, Render: func(w io.Writer, results []JobResult) error {
+		if err := FirstJobError(results); err != nil {
+			return err
 		}
-	}
-	return rows
+		by := make(map[string][]JobResult, len(parts))
+		for _, s := range parts {
+			by[s.Name], results = results[:len(s.Jobs)], results[len(s.Jobs):]
+		}
+		r := &reporter{w: w}
+		r.printf("# cxl2sim reproduction report\n\n")
+		r.printf("| experiment | relation | paper | measured |\n")
+		r.printf("|---|---|---|---|\n")
+		r.fig3(experiments.CollectRows[experiments.Fig3Row](by["fig3"]))
+		r.fig4(experiments.CollectRows[experiments.Fig4Row](by["fig4"]))
+		r.fig5(experiments.CollectRows[experiments.Fig5Row](by["fig5"]))
+		r.fig6(experiments.CollectRows[experiments.Fig6Row](by["fig6"]))
+		r.table4(experiments.CollectRows[experiments.Table4Row](by["table4"]))
+		if full { // one fig8 job per feature on workload A: zswap, then ksm
+			r.fig8(experiments.Fig8Collect(by["fig8"][:1]), experiments.Fig8Collect(by["fig8"][1:]))
+		}
+		return r.err
+	}}
 }
 
 // reporter accumulates the first write error so the report functions can
