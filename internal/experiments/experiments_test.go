@@ -7,6 +7,7 @@ import (
 	"repro/internal/cache"
 	"repro/internal/cxl"
 	"repro/internal/stats"
+	"repro/internal/ycsb"
 )
 
 // quick lowers repetition counts: the model is deterministic, so medians
@@ -428,6 +429,28 @@ func TestDeterminism(t *testing.T) {
 		if t3a[i] != t3b[i] {
 			t.Fatalf("Table4 row %d differs", i)
 		}
+	}
+}
+
+// TestFig8JobsRejectUnknownFeature pins that a feature name other than
+// "ksm" or "zswap" panics when the jobs are built, instead of running as
+// zswap under the misspelt name.
+func TestFig8JobsRejectUnknownFeature(t *testing.T) {
+	for _, f := range []string{"ksm", "zswap"} {
+		if jobs := Fig8Jobs(f, nil, Fig8Config{}); len(jobs) != len(ycsb.Workloads()) {
+			t.Fatalf("Fig8Jobs(%q) built %d jobs, want one per workload", f, len(jobs))
+		}
+	}
+	for _, f := range []string{"", "foo", "KSM", "zswap "} {
+		func() {
+			defer func() {
+				r := recover()
+				if msg, _ := r.(string); !strings.Contains(msg, "ksm") || !strings.Contains(msg, "zswap") {
+					t.Errorf("Fig8Jobs(%q) recovered %v, want a panic naming ksm and zswap", f, r)
+				}
+			}()
+			Fig8Jobs(f, nil, Fig8Config{})
+		}()
 	}
 }
 

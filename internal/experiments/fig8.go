@@ -496,7 +496,8 @@ func Fig8KsmDiag(v Fig8Variant, w ycsb.Workload, cfg Fig8Config) (Fig8Row, Fig8D
 	return row, diag
 }
 
-// Fig8Jobs returns one job per workload, each forking the baseline + the
+// Fig8Jobs returns one job per workload of feature ("ksm" or "zswap"; any
+// other name panics), each forking the baseline + the
 // four backend co-simulations as sub-jobs — baseline first, in the paper's
 // order — so a single workload's five variants spread across the pool even
 // when fig8 is the only section running. When cfg.Seed is zero each
@@ -513,9 +514,14 @@ func fig8Jobs(section, feature string, workloads []ycsb.Workload, cfg Fig8Config
 	if len(workloads) == 0 {
 		workloads = ycsb.Workloads()
 	}
-	run := Fig8ZswapDiag
-	if feature == "ksm" {
+	var run fig8Run
+	switch feature {
+	case "ksm":
 		run = Fig8KsmDiag
+	case "zswap":
+		run = Fig8ZswapDiag
+	default:
+		panic(fmt.Sprintf("experiments: Fig. 8 feature %q, want \"ksm\" or \"zswap\"", feature))
 	}
 	var jobs []runner.Job
 	for _, w := range workloads {

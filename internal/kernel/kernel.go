@@ -106,6 +106,10 @@ type MM struct {
 	// Prefetch loads run off the fault's critical path.
 	ReadaheadPages int
 
+	// cowBuf is the scratch page behind breakCoW's view of the shared
+	// frame, used only when that frame is not fully written.
+	cowBuf []byte
+
 	stats MMStats
 }
 
@@ -137,6 +141,7 @@ func NewMM(p *timing.Params, store *mem.Store, base phys.Addr, totalPages int) *
 		active:     list.New(),
 		LowWM:      totalPages / 8,
 		HighWM:     totalPages / 4,
+		cowBuf:     make([]byte, phys.PageSize),
 	}
 	mm.freeList = make([]phys.Addr, 0, totalPages)
 	for i := totalPages - 1; i >= 0; i-- {
@@ -427,17 +432,26 @@ func (f *Frame) dropMapping(pte *PTE) {
 // Read returns the PageSize bytes at vpn, faulting the page in if swapped.
 // The fault work (control plane + decompression) is charged to proc.
 func (a *AddressSpace) Read(vpn uint64, proc *sim.Proc) ([]byte, error) {
-	pte, ok := a.ptes[vpn]
-	if !ok {
-		return nil, fmt.Errorf("kernel: read of unmapped vpn %#x", vpn)
-	}
-	if err := a.faultIn(pte, proc); err != nil {
+	page := make([]byte, phys.PageSize)
+	if err := a.ReadInto(vpn, page, proc); err != nil {
 		return nil, err
 	}
-	a.mm.touch(pte.Frame)
-	page := make([]byte, phys.PageSize)
-	a.mm.Store.Read(pte.Frame.Addr, page)
 	return page, nil
+}
+
+// ReadInto is Read into the caller's PageSize-byte dst, so a caller that
+// reads page after page reuses one buffer.
+func (a *AddressSpace) ReadInto(vpn uint64, dst []byte, proc *sim.Proc) error {
+	pte, ok := a.ptes[vpn]
+	if !ok {
+		return fmt.Errorf("kernel: read of unmapped vpn %#x", vpn)
+	}
+	if err := a.faultIn(pte, proc); err != nil {
+		return err
+	}
+	a.mm.touch(pte.Frame)
+	a.mm.Store.Read(pte.Frame.Addr, dst)
+	return nil
 }
 
 // Write stores data at vpn, faulting in and breaking CoW as needed.
@@ -540,9 +554,8 @@ func (a *AddressSpace) breakCoW(pte *PTE, proc *sim.Proc) error {
 	if err != nil {
 		return err
 	}
-	page := make([]byte, phys.PageSize)
-	m.Store.Read(old.Addr, page)
-	m.Store.Write(f.Addr, page)
+	// The view of old stays valid across the write: it goes to f's page.
+	m.Store.Write(f.Addr, m.Store.PageView(old.Addr, m.cowBuf))
 	old.dropMapping(pte)
 	if old.RefCount() == 0 && !old.KsmStable {
 		m.freeFrame(old)

@@ -93,6 +93,11 @@ type Scanner struct {
 	stable   *treeNode
 	unstable *treeNode
 
+	// pageBuf and nodeBuf are the scratch pages behind the views of the
+	// scanned page and of the tree node it is compared with; a view
+	// aliases the store instead whenever the frame is fully written.
+	pageBuf, nodeBuf []byte
+
 	stats Stats
 }
 
@@ -101,7 +106,13 @@ func NewScanner(mm *kernel.MM, backend Backend) *Scanner {
 	if backend == nil {
 		panic("ksm: backend required")
 	}
-	return &Scanner{mm: mm, backend: backend, checksum: make(map[item]uint32)}
+	return &Scanner{
+		mm:       mm,
+		backend:  backend,
+		checksum: make(map[item]uint32),
+		pageBuf:  make([]byte, phys.PageSize),
+		nodeBuf:  make([]byte, phys.PageSize),
+	}
 }
 
 // Backend returns the active backend.
@@ -165,22 +176,21 @@ func (s *Scanner) census(n *treeNode) (shared, sharing uint64) {
 	return ls + rs + 1, lg + rg + uint64(n.frame.RefCount())
 }
 
-// readPage fetches the current content of a resident candidate page; it
-// returns nil for swapped or unmapped pages (ksm skips those).
-func (s *Scanner) readPage(it item) ([]byte, *kernel.PTE) {
+// readPage returns a view of the current content of a resident candidate
+// page over scratch (see mem.Store.PageView); it returns nil for swapped
+// or unmapped pages (ksm skips those).
+func (s *Scanner) readPage(it item, scratch []byte) ([]byte, *kernel.PTE) {
 	pte := it.as.PTE(it.vpn)
 	if pte == nil || !pte.Present() {
 		return nil, nil
 	}
-	page := make([]byte, phys.PageSize)
-	s.mm.Store.Read(pte.Frame.Addr, page)
-	return page, pte
+	return s.mm.Store.PageView(pte.Frame.Addr, scratch), pte
 }
 
-func frameContent(mm *kernel.MM, f *kernel.Frame) []byte {
-	page := make([]byte, phys.PageSize)
-	mm.Store.Read(f.Addr, page)
-	return page
+// frameContent returns a view of a stable frame's content over the node
+// scratch page.
+func (s *Scanner) frameContent(f *kernel.Frame) []byte {
+	return s.mm.Store.PageView(f.Addr, s.nodeBuf)
 }
 
 // scanCtx accumulates one page scan's timing: the data-plane operations of
@@ -195,6 +205,14 @@ type scanCtx struct {
 // ScanOne advances the scan cursor by one page, performing the full §VI-B
 // workflow on it. The data-plane work runs through the backend; host-CPU
 // time is charged to proc. It reports whether the page was merged.
+//
+// The page and node contents are store views, valid only until the next
+// write into their pages, and no store write happens between taking a
+// view and its last use here: the backends issue only non-coherent reads
+// and NC-P result pushes with nil data (the doorbell and result poll are
+// timing only), so the host-LLC victims those pushes evict are earlier
+// data-less pushes and write no bytes back; and merging (SharePTEs,
+// freeFrame) moves PTEs and frame bookkeeping without touching the store.
 func (s *Scanner) ScanOne(proc *sim.Proc) (merged bool) {
 	if len(s.items) == 0 {
 		return false
@@ -206,7 +224,7 @@ func (s *Scanner) ScanOne(proc *sim.Proc) (merged bool) {
 	s.cursor++
 	s.stats.PagesScanned++
 
-	page, pte := s.readPage(it)
+	page, pte := s.readPage(it, s.pageBuf)
 	if page == nil {
 		return false
 	}
@@ -285,7 +303,7 @@ func (s *Scanner) compare(a, b []byte, aAddr, bAddr phys.Addr, ctx *scanCtx) int
 func (s *Scanner) searchStable(page []byte, ctx *scanCtx) *treeNode {
 	n := s.stable
 	for n != nil {
-		c := s.compare(page, frameContent(s.mm, n.frame), 0, n.frame.Addr, ctx)
+		c := s.compare(page, s.frameContent(n.frame), 0, n.frame.Addr, ctx)
 		switch {
 		case c == 0:
 			return n
@@ -308,11 +326,13 @@ func (s *Scanner) searchUnstable(page []byte, ctx *scanCtx) (match, parent *tree
 	}
 	n := s.unstable
 	for {
-		nodePage, nodePTE := s.readPage(n.it)
+		nodePage, nodePTE := s.readPage(n.it, s.nodeBuf)
 		if nodePage == nil {
 			// The tree-resident candidate vanished (swapped/unmapped);
-			// treat as smaller to keep walking deterministically.
-			nodePage = make([]byte, phys.PageSize)
+			// compare against a zero page to keep walking
+			// deterministically.
+			clear(s.nodeBuf)
+			nodePage = s.nodeBuf
 		}
 		var nodeAddr phys.Addr
 		if nodePTE != nil {
@@ -348,8 +368,8 @@ func (s *Scanner) mergeIntoStable(node *treeNode, pte *kernel.PTE) {
 
 // promote merges two unstable candidates into a new stable node.
 func (s *Scanner) promote(node, parent *treeNode, leftChild bool, pte *kernel.PTE, page []byte, ctx *scanCtx) bool {
-	_, nodePTE := s.readPage(node.it)
-	if nodePTE == nil || nodePTE == pte {
+	nodePTE := node.it.as.PTE(node.it.vpn)
+	if nodePTE == nil || !nodePTE.Present() || nodePTE == pte {
 		return false
 	}
 	keeper := nodePTE.Frame
@@ -370,7 +390,7 @@ func (s *Scanner) insertStable(n *treeNode, ctx *scanCtx, page []byte) {
 	}
 	cur := s.stable
 	for {
-		c := s.compare(page, frameContent(s.mm, cur.frame), 0, cur.frame.Addr, ctx)
+		c := s.compare(page, s.frameContent(cur.frame), 0, cur.frame.Addr, ctx)
 		if c < 0 {
 			if cur.left == nil {
 				cur.left = n

@@ -10,6 +10,7 @@
 package kvs
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"repro/internal/kernel"
@@ -70,6 +71,8 @@ type Server struct {
 	// requests run synchronously inside their arrival event, so one chain
 	// is always finished before the next begins and reuse is safe.
 	req *sim.Proc
+	// page is the scratch page requests read their dataset page into.
+	page []byte
 
 	recPerPage uint64
 	// pollution returns the cumulative polluted-line count of the kernel
@@ -97,6 +100,7 @@ func NewServer(eng *sim.Engine, cfg Config, core *sim.Resource, as *kernel.Addre
 		eng:        eng,
 		core:       core,
 		as:         as,
+		page:       make([]byte, phys.PageSize),
 		recPerPage: uint64(phys.PageSize / cfg.ValueBytes),
 		pollution:  pollution,
 		lat:        stats.NewSample(4096),
@@ -128,15 +132,26 @@ func (s *Server) LoadDataset(proc *sim.Proc) error {
 
 // fillValue writes the canonical value for key: a compressible pattern that
 // still identifies the key, so reads verify integrity through swap cycles.
+// The pattern is key's little-endian bytes repeated: one word, then
+// doubling copies.
 func fillValue(dst []byte, key uint64) {
-	for i := range dst {
-		dst[i] = byte(key >> (uint(i%8) * 8))
+	var w [8]byte
+	binary.LittleEndian.PutUint64(w[:], key)
+	for n := copy(dst, w[:]); n < len(dst); n *= 2 {
+		copy(dst[n:], dst[:n])
 	}
 }
 
-// valueOK checks a read value against the canonical pattern.
+// valueOK checks a read value against the canonical pattern, a word at a
+// time.
 func valueOK(v []byte, key uint64) bool {
-	for i := range v {
+	i := 0
+	for ; i+8 <= len(v); i += 8 {
+		if binary.LittleEndian.Uint64(v[i:]) != key {
+			return false
+		}
+	}
+	for ; i < len(v); i++ {
 		if v[i] != byte(key>>(uint(i%8)*8)) {
 			return false
 		}
@@ -174,19 +189,17 @@ func (s *Server) Serve(op ycsb.Op, arrival sim.Time) {
 	faultsBefore := s.as.MM().Stats().MajorFaults
 	switch op.Kind {
 	case ycsb.Read:
-		page, err := s.as.Read(vpn, proc)
-		if err == nil {
+		if err := s.as.ReadInto(vpn, s.page, proc); err == nil {
 			off := int(key%s.recPerPage) * s.cfg.ValueBytes
-			if !valueOK(page[off:off+s.cfg.ValueBytes], key) {
+			if !valueOK(s.page[off:off+s.cfg.ValueBytes], key) {
 				s.verifyOK = false
 			}
 		}
 	case ycsb.Update, ycsb.Insert:
-		page, err := s.as.Read(vpn, proc)
-		if err == nil {
+		if err := s.as.ReadInto(vpn, s.page, proc); err == nil {
 			off := int(key%s.recPerPage) * s.cfg.ValueBytes
-			fillValue(page[off:off+s.cfg.ValueBytes], key)
-			if werr := s.as.Write(vpn, page, proc); werr != nil {
+			fillValue(s.page[off:off+s.cfg.ValueBytes], key)
+			if werr := s.as.Write(vpn, s.page, proc); werr != nil {
 				s.verifyOK = false
 			}
 		}

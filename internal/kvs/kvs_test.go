@@ -1,6 +1,7 @@
 package kvs
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/kernel"
@@ -206,5 +207,39 @@ func TestAntagonistDrivesReclaim(t *testing.T) {
 	}
 	if mm.Stats().SwapOuts == 0 {
 		t.Fatal("antagonist churn never drove reclaim")
+	}
+}
+
+// TestValuePatternMatchesByteLoop pins fillValue and valueOK, which work a
+// word at a time, to the byte-at-a-time definition of the pattern (key's
+// little-endian bytes repeated) for every length up to 300, including one
+// flipped byte anywhere in the value.
+func TestValuePatternMatchesByteLoop(t *testing.T) {
+	want := func(key uint64, n int) []byte {
+		b := make([]byte, n)
+		for i := range b {
+			b[i] = byte(key >> (uint(i%8) * 8))
+		}
+		return b
+	}
+	keys := []uint64{0, 1, 0xff, 0x1234, 0xdeadbeef, 1<<63 | 5, ^uint64(0), 0x0102030405060708}
+	for _, key := range keys {
+		for n := 1; n <= 300; n++ {
+			got := bytes.Repeat([]byte{0xA5}, n)
+			fillValue(got, key)
+			if w := want(key, n); !bytes.Equal(got, w) {
+				t.Fatalf("fillValue(key %#x, %d bytes) = %x, want %x", key, n, got, w)
+			}
+			if !valueOK(got, key) {
+				t.Fatalf("valueOK(key %#x, %d bytes) rejects the canonical value", key, n)
+			}
+			for i := 0; i < n; i++ {
+				got[i] ^= 0x10
+				if valueOK(got, key) {
+					t.Fatalf("valueOK(key %#x, %d bytes) accepts byte %d flipped", key, n, i)
+				}
+				got[i] ^= 0x10
+			}
+		}
 	}
 }

@@ -77,6 +77,10 @@ const maxFuzzOps = 128
 //	5 Write of a whole page            page seed
 //	6 Read of a whole page             page
 //	7 one line per page (sparse)       line count seed
+//	8 PageView of a whole page         page
+//
+// A page once viewed is viewed afresh, and checked again, after every
+// later write op: a view taken before a write is not relied on after it.
 func runStoreOps(t *testing.T, data []byte) {
 	next := func(n int) ([]byte, bool) {
 		if len(data) < n {
@@ -94,6 +98,28 @@ func runStoreOps(t *testing.T, data []byte) {
 			t.Fatalf("%s: store and model disagree\n got %x\nwant %x", what, got, want)
 		}
 	}
+	// checkView takes a PageView of the page at a and checks it against
+	// the model: a page whose every line is written comes back aliasing
+	// the store, any other as the scratch, holding the model's bytes.
+	viewed := [fuzzPages]bool{}
+	checkView := func(what string, a phys.Addr) {
+		t.Helper()
+		scratch := bytes.Repeat([]byte{0xEE}, phys.PageSize)
+		got := s.PageView(a, scratch)
+		want := make([]byte, phys.PageSize)
+		model.read(a, want)
+		check(what, got, want)
+		full := true
+		for i := 0; i < phys.LinesPerPage; i++ {
+			full = full && model[a+phys.Addr(i*phys.LineSize)] != nil
+		}
+		if inScratch := &got[0] == &scratch[0]; full == inScratch {
+			t.Fatalf("%s: page fully written = %v, view is the scratch = %v", what, full, inScratch)
+		}
+		if full && &got[0] != &s.PeekLine(a)[0] {
+			t.Fatalf("%s: full-page view does not alias the store", what)
+		}
+	}
 	span := func(b byte) int { return int(b) * 2 * phys.PageSize / 255 }
 	for op := 0; op < maxFuzzOps; op++ {
 		code, ok := next(1)
@@ -101,7 +127,8 @@ func runStoreOps(t *testing.T, data []byte) {
 			break
 		}
 		var desc string
-		switch code[0] % 8 {
+		wrote := false
+		switch code[0] % 9 {
 		case 0:
 			b, ok := next(4)
 			if !ok {
@@ -111,7 +138,7 @@ func runStoreOps(t *testing.T, data []byte) {
 			line := pattern(b[3], phys.LineSize)
 			s.WriteLine(a, line)
 			model.write(phys.LineAddr(a), line)
-			desc = fmt.Sprintf("op %d WriteLine(%v)", op, a)
+			desc, wrote = fmt.Sprintf("op %d WriteLine(%v)", op, a), true
 		case 1:
 			b, ok := next(3)
 			if !ok {
@@ -133,7 +160,7 @@ func runStoreOps(t *testing.T, data []byte) {
 			src := pattern(b[4], span(b[3]))
 			s.Write(a, src)
 			model.write(a, src)
-			desc = fmt.Sprintf("op %d Write(%v, %d)", op, a, len(src))
+			desc, wrote = fmt.Sprintf("op %d Write(%v, %d)", op, a, len(src)), true
 		case 3:
 			b, ok := next(4)
 			if !ok {
@@ -170,7 +197,7 @@ func runStoreOps(t *testing.T, data []byte) {
 			page := pattern(b[1], phys.PageSize)
 			s.Write(a, page)
 			model.write(a, page)
-			desc = fmt.Sprintf("op %d Write(page %v)", op, a)
+			desc, wrote = fmt.Sprintf("op %d Write(page %v)", op, a), true
 		case 6:
 			b, ok := next(1)
 			if !ok {
@@ -194,7 +221,23 @@ func runStoreOps(t *testing.T, data []byte) {
 				s.WriteLine(a, line)
 				model.write(a, line)
 			}
-			desc = fmt.Sprintf("op %d sparse line %d", op, idx)
+			desc, wrote = fmt.Sprintf("op %d sparse line %d", op, idx), true
+		case 8:
+			b, ok := next(1)
+			if !ok {
+				return
+			}
+			p := int(b[0]) % fuzzPages
+			viewed[p] = true
+			desc = fmt.Sprintf("op %d PageView(%v)", op, fuzzAddr(byte(p), 0, 0))
+			checkView(desc, fuzzAddr(byte(p), 0, 0))
+		}
+		if wrote {
+			for p, v := range viewed {
+				if v {
+					checkView(fmt.Sprintf("%s, then page %d viewed afresh", desc, p), fuzzAddr(byte(p), 0, 0))
+				}
+			}
 		}
 		if s.LinesWritten() != len(model) {
 			t.Fatalf("%s: LinesWritten = %d, model has %d lines", desc, s.LinesWritten(), len(model))
@@ -207,15 +250,17 @@ func runStoreOps(t *testing.T, data []byte) {
 		s.Read(a, got)
 		model.read(a, want)
 		check(fmt.Sprintf("final page %v", a), got, want)
+		checkView(fmt.Sprintf("final view %v", a), a)
 	}
 }
 
 // FuzzStore checks the page-frame store against a plain per-line map over
 // decoded op sequences: unaligned and page-straddling ranges, one line per
 // page, and whole pages, with PeekLine nil-ness and LinesWritten compared
-// after every op. The checked-in corpus seeds a sparse stride, a whole
-// page overwritten by a straddling write, and line inserts that fill a
-// page out of order.
+// after every op, and PageView checked for aliasing full frames only. The
+// checked-in corpus seeds a sparse stride, a whole page overwritten by a
+// straddling write, line inserts that fill a page out of order, and views
+// re-taken across page and line writes.
 func FuzzStore(f *testing.F) {
 	f.Fuzz(runStoreOps)
 }

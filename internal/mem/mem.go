@@ -83,6 +83,22 @@ func (s *Store) PeekLine(addr phys.Addr) []byte {
 	return s.line(f, lineIndex(addr))
 }
 
+// PageView returns the PageSize bytes of the page based at page without
+// copying when it can: for a fully written frame the result aliases the
+// store, and like PeekLine's it is valid until the next write into that
+// page. Otherwise the page is read into scratch (PageSize bytes), which is
+// returned. Callers must not write through the view.
+func (s *Store) PageView(page phys.Addr, scratch []byte) []byte {
+	if len(scratch) != phys.PageSize || phys.PageAddr(page) != page {
+		panic(fmt.Sprintf("mem: PageView(%v) with %d-byte scratch", page, len(scratch)))
+	}
+	if f := s.frame(page); f != nil && f.written == fullPage {
+		return f.data[:phys.PageSize:phys.PageSize]
+	}
+	s.Read(page, scratch)
+	return scratch
+}
+
 // WriteLine stores the 64-byte line containing addr.
 func (s *Store) WriteLine(addr phys.Addr, src []byte) {
 	if len(src) != phys.LineSize {
